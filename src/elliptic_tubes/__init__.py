@@ -48,6 +48,7 @@ from .errors import (
     CollinearityError,
     DegenerateError,
     DomainSpecError,
+    DrawBudgetError,
     EmptySliceError,
     GeometryError,
     GroupValidationError,

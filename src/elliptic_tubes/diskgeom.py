@@ -86,12 +86,6 @@ def point_at_distance(base, dist, upper=True):
     return inv(step)
 
 
-def halve_distance_check(w):
-    """Half the distance from w to its conjugate (diagnostic helper)."""
-    w = complex(w)
-    return 0.5 * poincare_distance(w, w.conjugate())
-
-
 def angle_from_distance(dist):
     """The boundary angle ``2 arctan(tanh d)`` of a point at distance d from
     the diameter."""

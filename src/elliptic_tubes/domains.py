@@ -13,12 +13,14 @@ reference point and scaled to unit Euclidean norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegenerateError,
+    DrawBudgetError,
     NotInteriorError,
     ValidationError,
     ZeroDirectionError,
@@ -28,6 +30,78 @@ from .report import VerifierReport
 
 _PARALLEL_TOL = 1e-13
 _DEGENERATE_CLIP = 1e-10
+# box-rejection samplers: the most draws one call may make (about a minute
+# of batched draws), and the most draws evaluated in one block
+_DRAW_BUDGET = 1 << 26
+_BLOCK_ROWS = 2048
+
+
+def _rowdot(mat, vecs):
+    """``mat @ v`` for every row ``v`` of a (B, k) array, as a (B, m) array.
+
+    The stacked product makes one matrix-vector product per row, so every
+    row is rounded exactly as ``mat @ v`` alone would be: a batched call and
+    a one-row call agree bit for bit.
+    """
+    return (mat @ vecs[:, :, None])[:, :, 0]
+
+
+def _quadratic(vecs, shape, others):
+    """``v @ shape @ w`` for paired rows of two (B, n) arrays, rounded as
+    the one-row expression is."""
+    return ((vecs[:, None, :] @ shape) @ others[:, :, None])[:, 0, 0]
+
+
+def _norms(vecs):
+    """Euclidean length of every row, rounded as ``np.linalg.norm(v)``."""
+    return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+
+
+def _affine(points):
+    """Rows ``(x, 1)``: the chart lifts of a (B, n) array of points."""
+    lifts = np.ones((len(points), points.shape[1] + 1))
+    lifts[:, :-1] = points
+    return lifts
+
+
+def box_rejection(rng, count, lo, hi, accept, label):
+    """``count`` points drawn uniformly from the box [lo, hi] and kept by
+    ``accept``, a predicate on a (B, d) array of points.
+
+    The draws are evaluated in blocks, and the result and the generator's
+    final state are those of the scalar loop that draws ``rng.uniform(lo,
+    hi)`` until ``count`` points passed: a block is drawn with
+    ``rng.random`` and mapped to the box as ``Generator.uniform`` does, and
+    after the count-th acceptance the generator is rewound and advanced by
+    exactly the rows used.  The block size follows the acceptance rate seen
+    so far.  Raises :class:`DrawBudgetError`, naming the sampler ``label``,
+    after ``_DRAW_BUDGET`` draws.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    width = np.asarray(hi, dtype=np.float64) - lo
+    out = np.empty((count, len(lo)))
+    got = drawn = 0
+    rows = min(_BLOCK_ROWS, 16 * count)
+    while got < count:
+        if drawn >= _DRAW_BUDGET:
+            raise DrawBudgetError(label, got, count, drawn)
+        rows = min(rows, _DRAW_BUDGET - drawn)
+        state = rng.bit_generator.state
+        block = lo + width * rng.random((rows, len(lo)))
+        keep = np.flatnonzero(accept(block))[: count - got]
+        if got + len(keep) == count and keep[-1] + 1 < rows:
+            rows = int(keep[-1]) + 1
+            rng.bit_generator.state = state
+            rng.random((rows, len(lo)))
+        out[got:got + len(keep)] = block[keep]
+        got += len(keep)
+        drawn += rows
+        if got:
+            rows = int(1.25 * (count - got) * drawn / got) + 16
+        else:
+            rows *= 4
+        rows = min(rows, _BLOCK_ROWS)
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,15 +148,22 @@ class Interval:
     ``t -> x0 + t * direction`` inherited from the line's span basis.  The
     endpoint lifts ``v0, v1`` have chart-infinity component 1, so interior
     points are exactly the classes of ``c0 v0 + c1 v1`` with ``c0 c1 > 0``.
+    The :class:`RealLine` through the segment is built on first use.
     """
 
-    line: RealLine
     x0: np.ndarray
     direction: np.ndarray
     a: float
     b: float
     v0: np.ndarray
     v1: np.ndarray
+    chart: Chart = field(repr=False)
+
+    @cached_property
+    def line(self):
+        return RealLine(
+            HPoint(self.chart.lift(self.x0)), HPoint(self.chart.direction_lift(self.direction))
+        )
 
     @property
     def length(self):
@@ -199,22 +280,30 @@ class ConvexDomain:
             if np.max(np.abs(x.imag)) > 1e-12 * max(1.0, np.max(np.abs(x))):
                 raise ValueError("contains() expects a real chart point")
             x = x.real
+        return bool(self.contains_rows(np.asarray(x, dtype=np.float64)[None])[0])
+
+    def contains_rows(self, points):
+        """Strict interior membership of every row of a (B, n) chart array."""
         if self._rows is not None:
-            return bool(np.all(self._rows @ np.append(x, 1.0) > 0.0))
-        d = x - self._center
-        return bool(d @ self._shape @ d < 1.0)
+            return np.all(_rowdot(self._rows, _affine(points)) > 0.0, axis=1)
+        d = points - self._center
+        return _quadratic(d, self._shape, d) < 1.0
 
     def margin(self, x):
         """Signed proximity to the boundary: positive inside, in chart
         Euclidean units (exact distance to the nearest facet hyperplane for
         row representations, a conservative equivalent for ellipsoids)."""
         x = self.chart_point(x)
+        return float(self.margin_rows(np.asarray(x, dtype=np.float64)[None])[0])
+
+    def margin_rows(self, points):
+        """:meth:`margin` of every row of a (B, n) chart array."""
         if self._bound_rows is not None:
-            return float(np.min(self._bound_rows @ np.append(x, 1.0)))
-        d = x - self._center
-        q = float(d @ self._shape @ d)
+            return np.min(_rowdot(self._bound_rows, _affine(points)), axis=1)
+        d = points - self._center
+        q = _quadratic(d, self._shape, d)
         a_min = 1.0 / np.sqrt(np.linalg.eigvalsh(self._shape)[-1])
-        return (1.0 - np.sqrt(max(q, 0.0))) * a_min
+        return (1.0 - np.sqrt(np.maximum(q, 0.0))) * a_min
 
     @property
     def bbox(self):
@@ -275,16 +364,6 @@ class ConvexDomain:
             raise DegenerateError("ellipsoids are not represented by rows")
         return self._rows.copy()
 
-    def functionals(self):
-        """Row functionals pulled back to homogeneous coordinates.
-
-        Functional construction normalizes the leading coefficient, so the
-        returned family is only defined up to sign per member; use
-        ``rows() @ chart.matrix`` where the positive-on-the-cone convention
-        matters (the pairwise membership test does).
-        """
-        return tuple(Functional(self.chart.matrix.T @ g) for g in self.rows())
-
     def ellipsoid_data(self):
         if self._center is None:
             raise DegenerateError("not an ellipsoid representation")
@@ -304,6 +383,53 @@ class ConvexDomain:
             raise ZeroDirectionError("line direction must be nonzero")
         return x0, direction / norm
 
+    def clip_lines(self, x0, directions):
+        """Clip parameters of many chart lines ``t -> x0[i] + t directions[i]``.
+
+        ``x0`` and ``directions`` are (B, n) arrays, the directions of unit
+        length.  Returns ``(a, b, ok)``, three (B,) arrays: ``ok`` is false
+        where the line misses the domain or its clip is shorter than 1e-10
+        (and ``a``, ``b`` are NaN there), otherwise ``a < b`` are exact roots
+        of the facet functionals or of the boundary quadric.  A facet with
+        ``|beta| <= 1e-13`` counts as parallel to the line.  Each row is
+        rounded as a one-row call would be.
+        """
+        x0 = np.asarray(x0, dtype=np.float64)
+        directions = np.asarray(directions, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self._rows is not None:
+                alphas = _rowdot(self._rows, _affine(x0))
+                betas = _rowdot(self._rows[:, :-1], directions)
+                up = betas > _PARALLEL_TOL
+                down = betas < -_PARALLEL_TOL
+                roots = -alphas / betas
+                lo = np.where(up, roots, -np.inf).max(axis=1)
+                hi = np.where(down, roots, np.inf).min(axis=1)
+                # a facet parallel to the line, with the line on its outside
+                lo[np.greater(alphas <= 0.0, up | down).any(axis=1)] = np.inf
+            else:
+                d = x0 - self._center
+                a2 = _quadratic(directions, self._shape, directions)
+                a1 = 2.0 * _quadratic(directions, self._shape, d)
+                a0 = _quadratic(d, self._shape, d) - 1.0
+                sq = np.sqrt(a1 * a1 - 4.0 * a2 * a0)  # NaN: the line misses
+                lo = (-a1 - sq) / (2.0 * a2)
+                hi = (-a1 + sq) / (2.0 * a2)
+            span = hi - lo  # +inf: unbounded; -inf or NaN: blocked by a facet
+        if np.any(span == np.inf):
+            raise ValidationError("domain is unbounded along the line")
+        ok = span >= _DEGENERATE_CLIP
+        lo[~ok] = np.nan
+        hi[~ok] = np.nan
+        return lo, hi, ok
+
+    def _clip_ab(self, line):
+        """``(a, b)`` of :meth:`line_clip` without building the interval,
+        or None when the clip is empty."""
+        x0, direction = self._line_data(line)
+        a, b, ok = self.clip_lines(x0[None], direction[None])
+        return (a[0], b[0]) if ok[0] else None
+
     def line_clip(self, line):
         """Intersect a real line with the domain.
 
@@ -313,51 +439,18 @@ class ConvexDomain:
         intersection is empty or shorter than 1e-10.
         """
         x0, direction = self._line_data(line)
-        if self._rows is not None:
-            alphas = self._rows @ np.append(x0, 1.0)
-            betas = self._rows[:, :-1] @ direction
-            lo, hi = -np.inf, np.inf
-            for alpha, beta in zip(alphas, betas):
-                if abs(beta) <= _PARALLEL_TOL:
-                    if alpha <= 0.0:
-                        return None
-                    continue
-                root = -alpha / beta
-                if beta > 0.0:
-                    lo = max(lo, root)
-                else:
-                    hi = min(hi, root)
-            if not np.isfinite(lo) or not np.isfinite(hi):
-                raise ValidationError("domain is unbounded along the line")
-        else:
-            d = x0 - self._center
-            a2 = direction @ self._shape @ direction
-            a1 = 2.0 * (direction @ self._shape @ d)
-            a0 = d @ self._shape @ d - 1.0
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc <= 0.0:
-                return None
-            sq = np.sqrt(disc)
-            lo = (-a1 - sq) / (2.0 * a2)
-            hi = (-a1 + sq) / (2.0 * a2)
-        if hi - lo < _DEGENERATE_CLIP:
+        a, b, ok = self.clip_lines(x0[None], direction[None])
+        if not ok[0]:
             return None
-        if isinstance(line, RealLine):
-            rline = line
-        else:
-            rline = RealLine(
-                HPoint(self.chart.lift(x0)), HPoint(self.chart.direction_lift(direction))
-            )
-        v0 = self.chart.lift(x0 + lo * direction)
-        v1 = self.chart.lift(x0 + hi * direction)
+        lo, hi = a[0], b[0]
         return Interval(
-            line=rline,
             x0=x0,
             direction=direction,
             a=float(lo),
             b=float(hi),
-            v0=v0,
-            v1=v1,
+            v0=self.chart.lift(x0 + lo * direction),
+            v1=self.chart.lift(x0 + hi * direction),
+            chart=self.chart,
         )
 
     # ------------------------------------------------------------------
@@ -373,11 +466,11 @@ class ConvexDomain:
         if sep < 1e-15:
             return 0.0
         direction = (y - x) / sep
-        clip = self.line_clip((x, direction))
+        clip = self._clip_ab((x, direction))
         if clip is None:
             raise DegenerateError("interior points produced an empty clip")
-        a, b, t = clip.a, clip.b, sep
-        value = ((a - t) * b) / (a * (b - t))
+        a, b = clip
+        value = ((a - sep) * b) / (a * (b - sep))
         return 0.5 * float(np.log(value))
 
     def finsler_norm(self, x, w):
@@ -389,8 +482,8 @@ class ConvexDomain:
         speed = np.linalg.norm(w)
         if speed == 0.0:
             return 0.0
-        clip = self.line_clip((x, w / speed))
-        return 0.5 * (1.0 / -clip.a + 1.0 / clip.b) * speed
+        a, b = self._clip_ab((x, w / speed))
+        return 0.5 * (1.0 / -a + 1.0 / b) * speed
 
     def cross_ratio_check(self, x, y):
         """Hilbert distance recomputed through the projective cross ratio
@@ -462,18 +555,28 @@ class ConvexDomain:
     # sampling and validation
 
     def sample_interior(self, rng, count):
-        """Rejection-sample interior chart points; deterministic in rng."""
+        """Rejection-sample interior chart points; deterministic in rng.
+
+        Each round draws ``4 max(count - got, 32)`` box points and keeps the
+        interior ones in order until ``count`` are found; the rest of the
+        round is discarded.  Raises :class:`DrawBudgetError` instead of
+        starting a round once ``_DRAW_BUDGET`` points have been drawn.
+        """
         lo, hi = self.bbox
         out = np.empty((count, self.n))
-        got = 0
+        got = drawn = 0
         while got < count:
+            if drawn >= _DRAW_BUDGET:
+                raise DrawBudgetError("sample_interior", got, count, drawn)
             batch = rng.uniform(lo, hi, size=(max(count - got, 32) * 4, self.n))
-            for p in batch:
-                if self.contains(p):
-                    out[got] = p
-                    got += 1
-                    if got == count:
-                        break
+            drawn += len(batch)
+            for start in range(0, len(batch), _BLOCK_ROWS):
+                block = batch[start:start + _BLOCK_ROWS]
+                keep = block[self.contains_rows(block)][: count - got]
+                out[got:got + len(keep)] = keep
+                got += len(keep)
+                if got == count:
+                    break
         return out
 
     def validate(self):

@@ -65,6 +65,20 @@ class GroupValidationError(GeometryError):
     """A purported symmetry does not preserve the domain."""
 
 
+class DrawBudgetError(GeometryError):
+    """A rejection sampler used up its draw budget before it had accepted
+    the requested number of points."""
+
+    def __init__(self, sampler, accepted, count, draws):
+        self.accepted = accepted
+        self.draws = draws
+        self.rate = accepted / draws if draws else 0.0
+        super().__init__(
+            f"{sampler}: {accepted} of {count} points accepted in {draws} draws "
+            f"(acceptance rate {self.rate:.3g})"
+        )
+
+
 class ValidationError(GeometryError):
     """A domain or domain file failed validation."""
 

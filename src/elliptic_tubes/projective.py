@@ -333,9 +333,6 @@ class ProjectiveMap:
         lift = _lift_of(p)
         return HPoint(self.matrix @ lift)
 
-    def apply_lift(self, lift):
-        return self.matrix @ np.asarray(lift)
-
     def inverse(self):
         return ProjectiveMap(np.linalg.inv(self.matrix))
 

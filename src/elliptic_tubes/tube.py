@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskgeom import distance_from_angle, geodesic_foot, poincare_distance
-from .domains import ConvexDomain, HDomain, Interval
+from .domains import ConvexDomain, HDomain, Interval, _norms, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -40,6 +40,8 @@ INTERIOR = "Interior"
 EXTERIOR = "Exterior"
 REAL_BOUNDARY = "RealBoundary"
 COMPLEX_BOUNDARY = "ComplexBoundary"
+_KINDS = (INTERIOR, EXTERIOR, REAL_BOUNDARY, COMPLEX_BOUNDARY)
+_INTERIOR, _EXTERIOR, _REAL_BOUNDARY, _COMPLEX_BOUNDARY = range(4)
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,15 @@ class SliceDisk:
     slice itself onto the open unit disk.
     """
 
-    line: RealLine
     interval: Interval
     x0: np.ndarray
     direction: np.ndarray
     a: float
     b: float
+
+    @property
+    def line(self) -> RealLine:
+        return self.interval.line
 
     def to_unit_disk(self, tau):
         return (2.0 * tau - (self.a + self.b)) / (self.b - self.a)
@@ -146,13 +151,8 @@ class Tube:
         x, y, real_flag = parts
         if real_flag:
             return self.base.contains(x)
-        speed = np.linalg.norm(y)
-        clip = self.base.line_clip((x, y / speed))
-        if clip is None:
-            return False
-        c = clip.midpoint
-        r = 0.5 * clip.length
-        return speed * speed + c * c < r * r
+        speed, a, b, ok = self._trace_clips(x[None], y[None])
+        return bool(ok[0] and _in_disk(speed[0], a[0], b[0]))
 
     def contains_pairwise(self, z):
         """Functional-route membership for H-domain bases:
@@ -184,6 +184,18 @@ class Tube:
         v = zeta.imag
         return float(u @ shape @ u + v @ shape @ v - 1.0)
 
+    def _trace_clips(self, x, y):
+        """``(speed, a, b, ok)`` for the rows of (B, n) arrays x, y with
+        nonzero y: ``speed = |y|`` and the clip of the trace line
+        ``t -> x + t y / |y|`` (see :meth:`ConvexDomain.clip_lines`)."""
+        speed = _norms(y)
+        direction = y / speed[:, None]
+        # renormalized as line_clip renormalizes any direction it is given,
+        # so that a slice disk and the membership tests round alike
+        direction = direction / _norms(direction)[:, None]
+        a, b, ok = self.base.clip_lines(x, direction)
+        return speed, a, b, ok
+
     # ------------------------------------------------------------------
     # slices
 
@@ -210,7 +222,6 @@ class Tube:
         if clip is None:
             raise EmptySliceError("the line does not meet the base domain")
         return SliceDisk(
-            line=clip.line,
             interval=clip,
             x0=x0,
             direction=direction,
@@ -231,10 +242,9 @@ class Tube:
             raise NotInteriorError("the real part must lie inside the base")
         if real_flag:
             return 0.0, 0.0
-        speed = np.linalg.norm(y)
-        clip = self.base.line_clip((x, y / speed))
+        speed, a, b, _ = self._trace_clips(x[None], y[None])
         # x interior implies a < 0 < b
-        return speed / clip.b, speed / (-clip.a)
+        return _gauge_pair(speed[0], a[0], b[0])
 
     def p_value(self, z):
         """Ray exit gauge: 1 / s* where the ray ``x + s y`` leaves the base
@@ -285,21 +295,27 @@ class Tube:
         if parts is None:
             return EXTERIOR
         x, y, real_flag = parts
-        if real_flag:
-            m = self.base.margin(x)
-            if abs(m) < band:
-                return REAL_BOUNDARY
-            return INTERIOR if m > 0.0 else EXTERIOR
-        if self.base.margin(x) <= 0.0:
-            return EXTERIOR
-        speed = np.linalg.norm(y)
-        clip = self.base.line_clip((x, y / speed))
-        if clip is None or clip.a >= 0.0 or clip.b <= 0.0:
-            return EXTERIOR
-        prod = (speed / clip.b) * (speed / -clip.a)
-        if abs(prod - 1.0) < band:
-            return COMPLEX_BOUNDARY
-        return INTERIOR if prod < 1.0 else EXTERIOR
+        return _KINDS[self._classify_rows(x[None], y[None], np.array([real_flag]), band)[0]]
+
+    def _classify_rows(self, x, y, real, band):
+        """:meth:`boundary_classify` of the points x + iy, rows of (B, n)
+        arrays, whose reality flags are ``real``; indices into ``_KINDS``."""
+        m = self.base.margin_rows(x)
+        inside = m > 0.0
+        kinds = np.where(inside, _INTERIOR, _EXTERIOR)
+        kinds[real & (np.abs(m) < band)] = _REAL_BOUNDARY
+        sliced = inside & ~real
+        if np.any(sliced):
+            speed, a, b, _ = self._trace_clips(x[sliced], y[sliced])
+            # a line that misses the base has NaN ends: exterior
+            on_slice = (a < 0.0) & (b > 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_plus, p_minus = _gauge_pair(speed, a, b)
+                prod = p_plus * p_minus
+            sub = np.where(on_slice & (prod < 1.0), _INTERIOR, _EXTERIOR)
+            sub[on_slice & (np.abs(prod - 1.0) < band)] = _COMPLEX_BOUNDARY
+            kinds[sliced] = sub
+        return kinds
 
     # ------------------------------------------------------------------
     # two-point distance
@@ -341,53 +357,85 @@ class Tube:
         diam = float(np.linalg.norm(hi - lo))
         return lo, hi, np.full(self.n, diam)
 
+    @staticmethod
+    def _draw_box(lo, hi, im_half):
+        """Bounds of the 2n-dimensional draw box of ``(Re z, Im z)``."""
+        return np.concatenate([lo, -im_half]), np.concatenate([hi, im_half])
+
+    def _parts(self, draws):
+        """Real parts, imaginary parts, |Im| and reality flags of box draws,
+        the band of :meth:`_split` applied row by row."""
+        x = np.ascontiguousarray(draws[:, : self.n])
+        y = np.ascontiguousarray(draws[:, self.n:])
+        speed = _norms(y)
+        return x, y, speed, speed <= _REAL_BAND * (1.0 + _norms(x))
+
+    def _points(self, draws):
+        """Complex chart points of box draws ``(Re z, Im z)``."""
+        out = np.empty((len(draws), self.n), dtype=np.complex128)
+        out.real = draws[:, : self.n]
+        out.imag = draws[:, self.n:]
+        return out
+
     def sample_points(self, rng, count, band=1e-6):
         """Interior tube samples in chart coordinates, rejecting a boundary
         band (gauge product within ``band`` of 1, or real part within
-        ``band`` of the base boundary)."""
-        lo, hi, im_half = self.bounding_box()
-        out = np.empty((count, self.n), dtype=np.complex128)
-        got = 0
-        while got < count:
-            x = rng.uniform(lo, hi, size=self.n)
-            y = rng.uniform(-im_half, im_half)
-            zeta = x + 1j * y
-            if not self.contains(zeta):
-                continue
-            if self.base.margin(x) < band:
-                continue
-            speed = np.linalg.norm(y)
-            if speed > _REAL_BAND:
-                clip = self.base.line_clip((x, y / speed))
-                prod = (speed / clip.b) * (speed / -clip.a)
-                if abs(prod - 1.0) < band:
-                    continue
-            out[got] = zeta
-            got += 1
-        return out
+        ``band`` of the base boundary).
+
+        Box rejection from ``bounding_box()``, evaluated in blocks: a draw
+        is ``rng.uniform(lo, hi)`` for the real part followed by
+        ``rng.uniform(-im_half, im_half)`` for the imaginary part, and the
+        samples and the generator's final state are those of drawing one
+        point at a time (see :func:`box_rejection`)."""
+
+        def accept(draws):
+            x, y, speed, real = self._parts(draws)
+            # every non-real draw, and real ones whose |Im z| tops the band
+            sliced = speed > _REAL_BAND
+            s, a, b, ok = self._trace_clips(x[sliced], y[sliced])
+            member = self.base.contains_rows(x)
+            member[sliced & ~real] = (ok & _in_disk(s, a, b))[~real[sliced]]
+            keep = member & ~(self.base.margin_rows(x) < band)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_plus, p_minus = _gauge_pair(s, a, b)
+                keep[sliced] &= ~(np.abs(p_plus * p_minus - 1.0) < band)
+            return keep
+
+        lo, hi = self._draw_box(*self.bounding_box())
+        return self._points(box_rejection(rng, count, lo, hi, accept, "sample_points"))
 
     def sample_exterior(self, rng, count, band=1e-6, spread=1.0):
-        """Exterior samples from an inflated bounding box, excluding the
-        boundary band."""
+        """Exterior samples from the bounding box inflated by ``1 + spread``,
+        excluding the boundary band (``boundary_classify`` gives Exterior);
+        drawn like :meth:`sample_points`."""
+
+        def accept(draws):
+            x, y, _, real = self._parts(draws)
+            return self._classify_rows(x, y, real, band) == _EXTERIOR
+
         lo, hi, im_half = self.bounding_box()
         center = 0.5 * (lo + hi)
         lo = center + (1.0 + spread) * (lo - center)
         hi = center + (1.0 + spread) * (hi - center)
-        im_half = (1.0 + spread) * im_half
-        out = np.empty((count, self.n), dtype=np.complex128)
-        got = 0
-        while got < count:
-            x = rng.uniform(lo, hi, size=self.n)
-            y = rng.uniform(-im_half, im_half)
-            zeta = x + 1j * y
-            if self.boundary_classify(zeta, band=band) != EXTERIOR:
-                continue
-            out[got] = zeta
-            got += 1
-        return out
+        lo, hi = self._draw_box(lo, hi, (1.0 + spread) * im_half)
+        return self._points(box_rejection(rng, count, lo, hi, accept, "sample_exterior"))
 
     def __repr__(self):
         return f"Tube(base={self.base!r})"
+
+
+def _in_disk(speed, a, b):
+    """Whether the height ``i speed`` over the clip (a, b) lies inside the
+    disk with diameter (a, b)."""
+    c = 0.5 * (a + b)
+    r = 0.5 * (b - a)
+    return speed * speed + c * c < r * r
+
+
+def _gauge_pair(speed, a, b):
+    """The gauges ``(p(z), p(conj z))`` of a point at height ``speed`` above
+    the clip (a, b) of its trace line."""
+    return speed / b, speed / -a
 
 
 def interval_gauges(a, b, s, t):

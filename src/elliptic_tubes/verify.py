@@ -114,6 +114,25 @@ def _content_window(tube: Tube, anchor, direction, margin=1.1,
     return window
 
 
+def _widened(window, raster, limit, step=0.25):
+    """``window`` grown by ``step`` of its extent on every side where the
+    raster's region touches the frame, never past the sides of ``limit``."""
+    (re_lo, re_hi), (im_lo, im_hi) = window
+    (lim_re_lo, lim_re_hi), (lim_im_lo, lim_im_hi) = limit
+    grow_re = step * (re_hi - re_lo)
+    grow_im = step * (im_hi - im_lo)
+    bitmap = raster.bitmap  # rows run along w_im, columns along w_re
+    if bitmap[:, 0].any():
+        re_lo = max(re_lo - grow_re, lim_re_lo)
+    if bitmap[:, -1].any():
+        re_hi = min(re_hi + grow_re, lim_re_hi)
+    if bitmap[0, :].any():
+        im_lo = max(im_lo - grow_im, lim_im_lo)
+    if bitmap[-1, :].any():
+        im_hi = min(im_hi + grow_im, lim_im_hi)
+    return ((re_lo, re_hi), (im_lo, im_hi))
+
+
 def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
                    margin=1.1, puncture=None) -> SliceRaster:
     """Rasterize tube membership over a complex line in chart coordinates.
@@ -331,6 +350,16 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
         window = _content_window(tube, anchor, direction)
         raster = rasterize_line(tube, anchor, direction, resolution=resolution,
                                 window=window, puncture=puncture)
+        # the probe can miss a cusp tip thinner than its pixels; widen the
+        # window toward the conservative one until the region fits
+        limit = _auto_window(tube, anchor, direction, 1.1)
+        while raster.touches_frame:
+            wider = _widened(window, raster, limit)
+            if wider == window:
+                break
+            window = wider
+            raster = rasterize_line(tube, anchor, direction, resolution=resolution,
+                                    window=window, puncture=puncture)
         if raster.filled == 0:
             report.record(f"line {k}: empty raster")
             continue

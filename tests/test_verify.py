@@ -69,6 +69,15 @@ def test_raster_window_never_clips(triangle, rng):
         assert not raster.touches_frame
 
 
+def test_cusp_tip_outside_the_probed_window_is_rasterized(triangle):
+    # the 256 px content probe misses a cusp tip on this line, so the 512 px
+    # raster touches the fitted window; the window must widen to take it in
+    report = verify_c_convexity(triangle, n_lines=1, resolution=512,
+                                stability_factor=2, seed=915742375)
+    assert report.samples_run == 1
+    assert report.passed, report.violations
+
+
 def test_puncture_creates_hole(square):
     tube = Tube(square)
     anchor = np.array([0.0 + 0j, 0.0 + 0j])
