@@ -1,47 +1,34 @@
-"""Benchmark the raster kernels: compiled extension vs pure numpy.
+"""Benchmark the raster kernels, component labelling and the stages of a line.
 
-Runs the pairwise and the ellipsoid kernels on identical inputs at a few
-resolutions, checks the outputs agree bit for bit, and prints a timing
-table with the speedup factor.
+The kernel table times ``pairwise_bitmap`` on the triangle (m = 3 rows) and
+the square (m = 4) and ``ellipsoid_bitmap`` on the ellipse, at each
+resolution, on a random complex line through the tube with the window the
+C-convexity verifier fits to it.  ``connectivity_counts`` (the two
+``ndimage.label`` passes) is timed on the bitmap the kernel returned.
+Times are the best of ``--repeat`` runs.
 
-    python3 benchmarks/bench_kernels.py [--resolutions 256,512,1024] [--repeat 3]
+The stage table splits one-line ``verify_c_convexity`` calls (512 px with
+the 2x stability raster, as the ``slice-rasters`` benchmark workload runs
+them) into the two 256 px window probes, the final raster, the stability
+raster and labelling, averaged over ``--lines`` seeds per domain.
+
+    python3 benchmarks/bench_kernels.py [--resolutions 256,512,1024] [--repeat 5] [--lines 10]
 """
 
 import argparse
 import time
+from collections import defaultdict
 
 import numpy as np
 
-from elliptic_tubes import Tube, square, ellipse
-from elliptic_tubes._kernels import implementations
+from elliptic_tubes import _kernels, catalog, verify
+from elliptic_tubes.tube import Tube
+
+CASES = (("triangle", "pairwise m=3"), ("square", "pairwise m=4"), ("ellipse", "ellipsoid"))
 
 
-def _inputs_pairwise(resolution):
-    domain = square()
-    tube = Tube(domain)
-    rows = domain.rows()
-    anchor = np.array([0.05 + 0.2j, -0.1 + 0.35j])
-    direction = np.array([0.8 - 0.1j, 0.55 + 0.3j])
-    fam_a = rows @ np.append(anchor, 1.0)
-    fam_b = rows @ np.append(direction, 0.0)
-    w = np.linspace(-4.0, 4.0, resolution)
-    return (fam_a, fam_b, w, w)
-
-
-def _inputs_ellipsoid(resolution):
-    domain = ellipse()
-    center, shape = domain.ellipsoid_data()
-    anchor = np.array([0.1 + 0.1j, -0.05 + 0.2j])
-    direction = np.array([0.7 + 0.2j, 0.4 - 0.5j])
-    aff_a = np.append(anchor, 1.0)
-    aff_b = np.append(direction, 0.0)
-    w = np.linspace(-3.0, 3.0, resolution)
-    return (center, shape, aff_a, aff_b, w, w)
-
-
-def _time(func, args, repeat):
-    best = np.inf
-    out = None
+def _best(func, args, repeat):
+    best, out = np.inf, None
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = func(*args)
@@ -49,42 +36,89 @@ def _time(func, args, repeat):
     return best, out
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--resolutions", default="256,512,1024")
-    parser.add_argument("--repeat", type=int, default=3)
-    args = parser.parse_args()
-    resolutions = [int(tok) for tok in args.resolutions.split(",")]
+def _kernel_call(tube, anchor, direction, window, resolution):
+    """The kernel and arguments ``rasterize_line`` would use."""
+    (re_lo, re_hi), (im_lo, im_hi) = window
+    centres = (np.arange(resolution) + 0.5) / resolution
+    w_re = re_lo + centres * (re_hi - re_lo)
+    w_im = im_lo + centres * (im_hi - im_lo)
+    if tube.base._rows is not None:
+        rows = tube.base.rows()
+        return _kernels.pairwise_bitmap, (rows @ np.append(anchor, 1.0),
+                                          rows @ np.append(direction, 0.0), w_re, w_im)
+    center, shape = tube.base.ellipsoid_data()
+    return _kernels.ellipsoid_bitmap, (center, shape, np.append(anchor, 1.0),
+                                       np.append(direction, 0.0), w_re, w_im)
 
-    impls = implementations()
-    if "compiled" not in impls:
-        print("compiled extension not available; benchmarking numpy only")
-    header = f"{'kernel':<10} {'res':>6} " + " ".join(
-        f"{name:>12}" for name in impls
-    )
-    if len(impls) == 2:
-        header += f" {'speedup':>9}"
-    print(header)
-    print("-" * len(header))
-    for kernel, make in (("pairwise", _inputs_pairwise), ("ellipsoid", _inputs_ellipsoid)):
+
+def kernel_table(resolutions, repeat):
+    print(f"{'case':<24} {'res':>5} {'kernel ms':>10} {'label ms':>9} {'filled':>7}")
+    for name, label in CASES:
+        tube = Tube(catalog.by_name(name))
+        rng = np.random.default_rng(np.random.SeedSequence([0]))
+        anchor, direction, _ = verify._random_line(tube, rng)
+        window = verify._content_window(tube, anchor, direction)
         for res in resolutions:
-            inputs = make(res)
-            times = {}
-            outputs = {}
-            for name, impl in impls.items():
-                func = getattr(impl, f"{kernel}_bitmap")
-                times[name], outputs[name] = _time(func, inputs, args.repeat)
-            if len(outputs) == 2:
-                a, b = outputs.values()
-                if not np.array_equal(a, b):
-                    raise SystemExit(f"{kernel} kernels disagree at {res}")
-            row = f"{kernel:<10} {res:>6} " + " ".join(
-                f"{times[name] * 1e3:>10.2f}ms" for name in impls
-            )
-            if len(impls) == 2:
-                row += f" {times['numpy'] / times['compiled']:>8.1f}x"
-            print(row)
-    print("outputs agree bit for bit" if len(impls) == 2 else "")
+            kernel, args = _kernel_call(tube, anchor, direction, window, res)
+            t_kernel, bitmap = _best(kernel, args, repeat)
+            t_label, _ = _best(verify.connectivity_counts, (bitmap,), repeat)
+            print(f"{name + ' (' + label + ')':<24} {res:>5} {t_kernel * 1e3:>10.2f} "
+                  f"{t_label * 1e3:>9.2f} {bitmap.mean():>7.1%}")
+
+
+def stage_table(lines, resolution=512, stability=2):
+    stages = ("probes", "final", "stability", "labelling")
+    totals = {}
+    spent = defaultdict(float)
+    raster, counts = verify.rasterize_line, verify.connectivity_counts
+
+    def timed_raster(*args, **kwargs):
+        res = kwargs.get("resolution", 512)
+        stage = ("final" if res == resolution
+                 else "stability" if res == resolution * stability else "probes")
+        t0 = time.perf_counter()
+        try:
+            return raster(*args, **kwargs)
+        finally:
+            spent[stage] += time.perf_counter() - t0
+
+    def timed_counts(bitmap):
+        t0 = time.perf_counter()
+        try:
+            return counts(bitmap)
+        finally:
+            spent["labelling"] += time.perf_counter() - t0
+
+    verify.rasterize_line, verify.connectivity_counts = timed_raster, timed_counts
+    try:
+        for name, _ in CASES:
+            domain = catalog.by_name(name)
+            spent.clear()
+            t0 = time.perf_counter()
+            for seed in range(lines):
+                verify.verify_c_convexity(domain, n_lines=1, resolution=resolution,
+                                          stability_factor=stability, seed=seed)
+            totals[name] = (time.perf_counter() - t0, dict(spent))
+    finally:
+        verify.rasterize_line, verify.connectivity_counts = raster, counts
+    print(f"{'per line, ms':<12} " + " ".join(f"{s:>10}" for s in stages)
+          + f" {'other':>8} {'total':>8}")
+    for name, (wall, parts) in totals.items():
+        other = wall - sum(parts.values())
+        print(f"{name:<12} " + " ".join(f"{parts.get(s, 0.0) / lines * 1e3:>10.2f}" for s in stages)
+              + f" {other / lines * 1e3:>8.2f} {wall / lines * 1e3:>8.2f}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--resolutions", default="256,512,1024")
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--lines", type=int, default=10)
+    args = parser.parse_args()
+    kernel_table([int(tok) for tok in args.resolutions.split(",")], args.repeat)
+    print()
+    stage_table(args.lines)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ separator combination for linear convexity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -44,7 +44,6 @@ class SliceRaster:
     anchor: np.ndarray
     direction: np.ndarray
     window: tuple
-    backend: str = field(default_factory=_kernels.backend)
 
     @property
     def resolution(self):
@@ -168,13 +167,16 @@ def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
         bitmap = _kernels.ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im)
 
     if puncture is not None:
+        # |z(w) - center|^2 - radius^2 is a form in (1, w) as well
         p_center, p_radius = puncture
-        p_center = np.asarray(p_center, dtype=np.complex128).reshape(tube.n)
-        w = w_re[None, :] + 1j * w_im[:, None]
-        dist2 = np.zeros(w.shape)
-        for j in range(tube.n):
-            dist2 += np.abs(anchor[j] + w * direction[j] - p_center[j]) ** 2
-        bitmap = bitmap & (dist2 > p_radius * p_radius).astype(np.uint8)
+        shift = anchor - np.asarray(p_center, dtype=np.complex128).reshape(tube.n)
+        outside = _kernels.form_mask(
+            np.vdot(direction, direction).real,
+            2.0 * np.vdot(shift, direction),
+            np.vdot(shift, shift).real - p_radius * p_radius,
+            w_re, w_im,
+        )
+        bitmap = bitmap & outside
 
     return SliceRaster(
         bitmap=bitmap,
@@ -184,6 +186,77 @@ def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
         direction=direction,
         window=window,
     )
+
+
+def _pixels_join(tube: Tube, raster: SliceRaster, here, there, puncture, pad=2, max_side=255):
+    """Whether two region pixels are 8-connected in a finer raster of the
+    square spanning them, padded by ``pad`` pixels.
+
+    The finer raster has the same line and puncture at the largest odd
+    refinement whose side stays within ``max_side``, so both pixel centres
+    are pixel centres of the finer grid as well.  8-connectivity is enough
+    there: a sliver still thinner than the finer pixels rasters as a
+    diagonal chain, and one dilation step at the coarse scale already
+    bridges more.
+    """
+    (i, j), (bi, bj) = here, there
+    r0, c0 = min(i, bi) - pad, min(j, bj) - pad
+    side = max(abs(i - bi), abs(j - bj)) + 2 * pad + 1
+    factor = (max_side // side - 1) // 2 * 2 + 1
+    if factor < 3:
+        return False
+    res = raster.bitmap.shape[0]
+    (re_lo, re_hi), (im_lo, im_hi) = raster.window
+    d_re, d_im = (re_hi - re_lo) / res, (im_hi - im_lo) / res
+    window = ((re_lo + c0 * d_re, re_lo + (c0 + side) * d_re),
+              (im_lo + r0 * d_im, im_lo + (r0 + side) * d_im))
+    fine = rasterize_line(tube, raster.anchor, raster.direction, resolution=side * factor,
+                          window=window, puncture=puncture)
+    labels, _ = ndimage.label(fine.bitmap, structure=_EIGHT)
+    half = factor // 2
+    a = labels[(i - r0) * factor + half, (j - c0) * factor + half]
+    b = labels[(bi - r0) * factor + half, (bj - c0) * factor + half]
+    return bool(a) and a == b
+
+
+def _fragments_join(tube: Tube, raster: SliceRaster, puncture=None, max_parts=16):
+    """Whether the components of the raster's region all join through
+    finer rasters of the gaps between them (`_pixels_join`).
+
+    A sliver thinner than a pixel, toward a cusp tip or along a whole thin
+    region, rasters as a string of fragments that one dilation step may
+    not bridge.  The candidate links run from the first pixel of each
+    component to the nearest pixel of every other one; they are tried
+    shortest first, as for a minimum spanning tree, until every component
+    is linked or the links run out.
+    """
+    labels, count = ndimage.label(raster.bitmap, structure=_FOUR)
+    if count > max_parts:
+        return False
+    index = list(range(1, count + 1))
+    grid_r, grid_c = np.ogrid[:labels.shape[0], :labels.shape[1]]
+    links = []
+    for k in index:
+        i, j = (int(v) for v in np.argwhere(labels == k)[0])
+        dist = (grid_r - i) ** 2 + (grid_c - j) ** 2
+        for m, (bi, bj) in zip(index, ndimage.minimum_position(dist, labels, index)):
+            if m != k:
+                links.append((int(dist[bi, bj]), k, m, (i, j), (int(bi), int(bj))))
+    root = list(range(count + 1))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    joined = 1
+    for _, k, m, here, there in sorted(links):
+        if joined == count:
+            break
+        if find(k) != find(m) and _pixels_join(tube, raster, here, there, puncture):
+            root[find(k)] = find(m)
+            joined += 1
+    return joined == count
 
 
 def connectivity_counts(bitmap):
@@ -290,6 +363,23 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
 # slice topology (C-convexity)
 
 
+def _random_line(tube: Tube, rng):
+    """A random complex line through the tube: ``(anchor, direction,
+    through_two)``.  With probability 0.7 it joins two sample points at
+    least 0.2 apart (64 tries), otherwise it runs from one sample point in
+    a random unit direction."""
+    if rng.random() < 0.7:
+        for _ in range(64):
+            pts = tube.sample_points(rng, 2)
+            delta = pts[1] - pts[0]
+            if np.linalg.norm(delta) >= 0.2:
+                break
+        return pts[0], delta, True
+    anchor = tube.sample_points(rng, 1)[0]
+    direction = rng.normal(size=tube.n) + 1j * rng.normal(size=tube.n)
+    return anchor, direction / np.linalg.norm(direction), False
+
+
 def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
                        stability_factor=2, seed=0, puncture=None) -> VerifierReport:
     """Slices along complex lines are connected and simply connected.
@@ -303,8 +393,10 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
     Cusp-shaped regions can shed an isolated pixel at any resolution (the
     throat behind the cusp tip drops below pixel width while the tip still
     catches a pixel center), so a region that rasters disconnected is
-    recounted after one dilation step before it is called a violation;
-    bridged lines are tallied in ``details['bridged_lines']``.
+    recounted after one dilation step, and failing that its fragments are
+    joined through finer rasters of the gaps (`_fragments_join`), before it
+    is called a violation; bridged lines are tallied in
+    ``details['bridged_lines']``.
     """
     tube = Tube(domain)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -324,28 +416,19 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
     two_point = 0
     bridged_lines = 0
 
-    def _counts(bitmap):
-        n_region, n_comp = connectivity_counts(bitmap)
+    def _counts(raster):
+        n_region, n_comp = connectivity_counts(raster.bitmap)
         bridged = False
         if n_region > 1:
-            fat = ndimage.binary_dilation(bitmap, structure=_EIGHT).astype(np.uint8)
-            if connectivity_counts(fat)[0] == 1:
+            fat = ndimage.binary_dilation(raster.bitmap, structure=_EIGHT).astype(np.uint8)
+            if (connectivity_counts(fat)[0] == 1
+                    or _fragments_join(tube, raster, puncture)):
                 n_region, bridged = 1, True
         return n_region, n_comp, bridged
 
     for k in range(n_lines):
-        if rng.random() < 0.7:
-            for _ in range(64):
-                pts = tube.sample_points(rng, 2)
-                delta = pts[1] - pts[0]
-                if np.linalg.norm(delta) >= 0.2:
-                    break
-            anchor, direction = pts[0], delta
-            two_point += 1
-        else:
-            anchor = tube.sample_points(rng, 1)[0]
-            direction = rng.normal(size=tube.n) + 1j * rng.normal(size=tube.n)
-            direction = direction / np.linalg.norm(direction)
+        anchor, direction, through_two = _random_line(tube, rng)
+        two_point += through_two
         report.samples_run += 1
         window = _content_window(tube, anchor, direction)
         raster = rasterize_line(tube, anchor, direction, resolution=resolution,
@@ -366,7 +449,7 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
         if raster.touches_frame:
             report.record(f"line {k}: region clipped by the window")
             continue
-        n_region, n_comp, bridged = _counts(raster.bitmap)
+        n_region, n_comp, bridged = _counts(raster)
         bridged_lines += bridged
         ok = n_region == 1 and n_comp == 1
         if n_region != 1:
@@ -377,7 +460,7 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
             fine = rasterize_line(tube, anchor, direction,
                                   resolution=resolution * stability_factor,
                                   window=window, puncture=puncture)
-            nr2, nc2, bridged2 = _counts(fine.bitmap)
+            nr2, nc2, bridged2 = _counts(fine)
             bridged_lines += bridged2
             ok2 = nr2 == 1 and nc2 == 1
             if ok != ok2:

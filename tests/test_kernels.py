@@ -1,13 +1,168 @@
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from elliptic_tubes import _kernels
 from elliptic_tubes import catalog
 from elliptic_tubes.tube import Tube
+from elliptic_tubes.verify import _content_window, _random_line, rasterize_line
+
+# Differing pixels must sit on a test whose exact value is zero to within
+# this multiple of the size of its terms.
+_ROUNDING = 1e-12
+
+
+# ----------------------------------------------------------------------
+# reference: the complex-grid kernels and the puncture loop the form
+# kernels replaced, kept verbatim
+
+
+def _reference_pairwise(fam_a, fam_b, w_re, w_im):
+    fam_a = np.asarray(fam_a, dtype=np.complex128)
+    fam_b = np.asarray(fam_b, dtype=np.complex128)
+    w = np.asarray(w_re, dtype=np.float64)[None, :] + 1j * np.asarray(
+        w_im, dtype=np.float64
+    )[:, None]
+    m = len(fam_a)
+    vals = fam_a[:, None, None] + w[None, :, :] * fam_b[:, None, None]
+    ok = np.ones(w.shape, dtype=bool)
+    for p in range(m):
+        vp_conj = np.conj(vals[p])
+        for q in range(p, m):
+            ok &= (vals[q] * vp_conj).real > 0.0
+    return ok.astype(np.uint8)
+
+
+def _reference_ellipsoid(center, shape, aff_a, aff_b, w_re, w_im):
+    center = np.asarray(center, dtype=np.float64)
+    shape = np.asarray(shape, dtype=np.float64)
+    aff_a = np.asarray(aff_a, dtype=np.complex128)
+    aff_b = np.asarray(aff_b, dtype=np.complex128)
+    w = np.asarray(w_re, dtype=np.float64)[None, :] + 1j * np.asarray(
+        w_im, dtype=np.float64
+    )[:, None]
+    last = aff_a[-1] + w * aff_b[-1]
+    finite = np.abs(last) > 1e-300
+    safe_last = np.where(finite, last, 1.0)
+    head = aff_a[:-1, None, None] + w[None, :, :] * aff_b[:-1, None, None]
+    zeta = head / safe_last[None, :, :]
+    u = zeta.real - center[:, None, None]
+    v = zeta.imag
+    q = np.einsum("irc,ij,jrc->rc", u, shape, u) + np.einsum(
+        "irc,ij,jrc->rc", v, shape, v
+    )
+    ok = finite & np.isfinite(q) & (q < 1.0)
+    return ok.astype(np.uint8)
+
+
+def _reference_puncture(anchor, direction, p_center, p_radius, w_re, w_im):
+    w = w_re[None, :] + 1j * w_im[:, None]
+    dist2 = np.zeros(w.shape)
+    for j in range(len(anchor)):
+        dist2 += np.abs(anchor[j] + w * direction[j] - p_center[j]) ** 2
+    return (dist2 > p_radius * p_radius).astype(np.uint8)
+
+
+# ----------------------------------------------------------------------
+# exact values with fractions.Fraction: (value, size of its terms)
+
+
+def _fc(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _affine(a, b, w):
+    """Exact a + w b for complex floats a, b and a Fraction pair w."""
+    (ar, ai), (br, bi) = _fc(a), _fc(b)
+    return ar + w[0] * br - w[1] * bi, ai + w[0] * bi + w[1] * br
+
+
+def _w(raster_w_re, raster_w_im, i, j):
+    return Fraction(float(raster_w_re[j])), Fraction(float(raster_w_im[i]))
+
+
+def _pair_values(fam_a, fam_b, w):
+    """Exact Re(v_q conj v_p) for every pair p <= q."""
+    wabs = float(np.hypot(w[0], w[1]))
+    vals = [_affine(a, b, w) for a, b in zip(fam_a, fam_b)]
+    sizes = [abs(a) + wabs * abs(b) for a, b in zip(fam_a, fam_b)]
+    out = []
+    for p in range(len(vals)):
+        for q in range(p, len(vals)):
+            value = vals[q][0] * vals[p][0] + vals[q][1] * vals[p][1]
+            out.append((value, sizes[p] * sizes[q]))
+    return out
+
+
+def _ellipsoid_values(center, shape, aff_a, aff_b, w):
+    """Exact |last|^2 and (zeta - c)^H S (zeta - c) - 1 times |last|^2."""
+    wabs = float(np.hypot(w[0], w[1]))
+    lr, li = _affine(aff_a[-1], aff_b[-1], w)
+    g_re, g_im = [], []
+    for k in range(len(center)):
+        hr, hi = _affine(aff_a[k], aff_b[k], w)
+        c = Fraction(float(center[k]))
+        g_re.append(hr - c * lr)
+        g_im.append(hi - c * li)
+    s = [[Fraction(float(x)) for x in row] for row in shape]
+    n = len(center)
+    quad = sum(s[p][q] * (g_re[p] * g_re[q] + g_im[p] * g_im[q])
+               for p in range(n) for q in range(n))
+    last2 = lr * lr + li * li
+    size = abs(aff_a) + wabs * abs(aff_b)
+    scale = np.abs(shape).sum() * (np.sum(size[:-1]) + np.abs(center).sum() * size[-1]) ** 2
+    return last2, (quad - last2, scale + size[-1] ** 2)
+
+
+def _puncture_value(anchor, direction, p_center, p_radius, w):
+    wabs = float(np.hypot(w[0], w[1]))
+    total = -Fraction(float(p_radius)) ** 2
+    scale = float(p_radius) ** 2
+    for a, b, c in zip(anchor, direction, p_center):
+        vr, vi = _affine(a, b, w)
+        cr, ci = _fc(c)
+        total += (vr - cr) ** 2 + (vi - ci) ** 2
+        scale += (abs(a) + abs(c) + wabs * abs(b)) ** 2
+    return total, scale
+
+
+def _near_zero(value, scale):
+    return abs(value) <= _ROUNDING * scale
+
+
+def _differing(got, want, explain):
+    """Count the pixels where ``got`` and ``want`` differ, and fail unless
+    ``explain(i, j)`` shows each one sits on a test that is zero to within
+    rounding."""
+    assert got.shape == want.shape and got.dtype == np.uint8
+    rows, cols = np.nonzero(got != want)
+    unexplained = [(int(i), int(j)) for i, j in zip(rows, cols) if not explain(i, j)]
+    assert not unexplained, (
+        f"{len(rows)} differing pixels, {len(unexplained)} not within rounding "
+        f"of a test's zero, first at {unexplained[:5]}"
+    )
+    return len(rows)
+
+
+def _pairwise_explainer(fam_a, fam_b, w_re, w_im):
+    def explain(i, j):
+        return any(_near_zero(v, s) for v, s in _pair_values(fam_a, fam_b, _w(w_re, w_im, i, j)))
+    return explain
+
+
+def _ellipsoid_explainer(center, shape, aff_a, aff_b, w_re, w_im):
+    def explain(i, j):
+        last2, (value, scale) = _ellipsoid_values(center, shape, aff_a, aff_b,
+                                                  _w(w_re, w_im, i, j))
+        return _near_zero(last2, scale) or _near_zero(value, scale)
+    return explain
+
+
+# ----------------------------------------------------------------------
 
 
 def _pairwise_inputs(rng, m=5, res=64):
@@ -19,9 +174,7 @@ def _pairwise_inputs(rng, m=5, res=64):
 
 
 def test_backend_reported():
-    assert _kernels.backend() in ("compiled", "numpy")
-    impls = _kernels.implementations()
-    assert "numpy" in impls
+    assert _kernels.backend() == "numpy"
 
 
 def test_pairwise_matches_bruteforce(rng):
@@ -55,53 +208,155 @@ def test_ellipsoid_matches_direct(rng, ellipse):
             assert bool(bitmap[i, j]) == want
 
 
-def test_lanes_agree_bit_for_bit(rng):
-    impls = _kernels.implementations()
-    if "compiled" not in impls:
-        pytest.skip("compiled extension not built")
-    for _ in range(10):
-        fam_a, fam_b, w_re, w_im = _pairwise_inputs(rng, m=6, res=80)
-        a = impls["numpy"].pairwise_bitmap(fam_a, fam_b, w_re, w_im)
-        b = impls["compiled"].pairwise_bitmap(fam_a, fam_b, w_re, w_im)
-        np.testing.assert_array_equal(a, b)
-    center = rng.normal(size=2) * 0.1
-    mat = rng.normal(size=(2, 2))
-    shape = mat @ mat.T + np.eye(2)
-    aff_a = rng.normal(size=3) + 1j * rng.normal(size=3)
-    aff_b = rng.normal(size=3) + 1j * rng.normal(size=3)
-    w = np.linspace(-2, 2, 64)
-    a = impls["numpy"].ellipsoid_bitmap(center, shape, aff_a, aff_b, w, w)
-    b = impls["compiled"].ellipsoid_bitmap(center, shape, aff_a, aff_b, w, w)
-    np.testing.assert_array_equal(a, b)
+def _reference_raster(tube, raster):
+    """The reference bitmap on the raster's own grid, and its explainer."""
+    args_w = (raster.w_re, raster.w_im)
+    if tube.base._rows is not None:
+        rows = tube.base.rows()
+        fam = (rows @ np.append(raster.anchor, 1.0), rows @ np.append(raster.direction, 0.0))
+        return _reference_pairwise(*fam, *args_w), _pairwise_explainer(*fam, *args_w)
+    center, shape = tube.base.ellipsoid_data()
+    aff = (np.append(raster.anchor, 1.0), np.append(raster.direction, 0.0))
+    return (_reference_ellipsoid(center, shape, *aff, *args_w),
+            _ellipsoid_explainer(center, shape, *aff, *args_w))
 
 
-def test_pure_env_forces_numpy():
-    env = dict(os.environ, ELLIPTIC_TUBES_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from elliptic_tubes import _kernels; print(_kernels.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+@pytest.mark.parametrize("resolution", [256, 512, 1024])
+@pytest.mark.parametrize("name", ["triangle", "square", "simplex", "ellipse", "disk"])
+def test_kernels_match_reference_on_verifier_lines(name, resolution):
+    tube = Tube(catalog.by_name(name))
+    rng = np.random.default_rng(np.random.SeedSequence([resolution]))
+    pixels = differing = 0
+    for _ in range(3):
+        anchor, direction, _ = _random_line(tube, rng)
+        window = _content_window(tube, anchor, direction)
+        raster = rasterize_line(tube, anchor, direction, resolution=resolution, window=window)
+        want, explain = _reference_raster(tube, raster)
+        differing += _differing(raster.bitmap, want, explain)
+        pixels += want.size
+    print(f"{name} at {resolution}: {differing} of {pixels} pixels differ")
 
 
-def test_tube_membership_same_on_both_lanes(square):
-    # drive the public surface once per lane through a subprocess for the
-    # forced-numpy side and in-process for the active backend
-    tube = Tube(square)
-    probe = np.array([0.3 + 0.2j, -0.1 + 0.4j])
-    active = tube.contains(probe)
-    code = (
-        "import numpy as np\n"
-        "from elliptic_tubes import catalog\n"
-        "from elliptic_tubes.tube import Tube\n"
-        "t = Tube(catalog.square())\n"
-        "print(t.contains(np.array([0.3+0.2j, -0.1+0.4j])))\n"
-    )
-    env = dict(os.environ, ELLIPTIC_TUBES_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == str(active)
+def test_puncture_matches_reference_on_control_lines():
+    # criterion 08's negative control: triangle, seed 5, six lines
+    tube = Tube(catalog.triangle())
+    center, radius = np.array([0.25, 0.25]), 0.08
+    rng = np.random.default_rng(np.random.SeedSequence([5]))
+    pixels = differing = holed = 0
+    for _ in range(6):
+        anchor, direction, _ = _random_line(tube, rng)
+        window = _content_window(tube, anchor, direction)
+        for resolution in (512, 1024):
+            raster = rasterize_line(tube, anchor, direction, resolution=resolution,
+                                    window=window, puncture=(center, radius))
+            kernel, explain_kernel = _reference_raster(tube, raster)
+            mask = _reference_puncture(raster.anchor, raster.direction, center, radius,
+                                       raster.w_re, raster.w_im)
+            holed += int((kernel & (1 - mask)).any())
+
+            def explain(i, j):
+                value, scale = _puncture_value(
+                    raster.anchor, raster.direction, center, radius,
+                    _w(raster.w_re, raster.w_im, i, j))
+                return _near_zero(value, scale) or explain_kernel(i, j)
+
+            differing += _differing(raster.bitmap, kernel & mask, explain)
+            pixels += mask.size
+    assert holed  # the puncture meets the region on some line
+    print(f"punctured control: {differing} of {pixels} pixels differ")
+
+
+_coord = st.floats(-3.0, 3.0)
+_complex = st.builds(complex, _coord, _coord)
+
+
+def _floats(m, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=m, max_size=m).map(np.array)
+
+
+@st.composite
+def _grid(draw):
+    """Pixel centres of a random non-square window that holds w = 0."""
+    span = draw(st.floats(0.05, 4.0))
+    x0, y0 = draw(st.floats(-1.0, -0.01)), draw(st.floats(-1.0, -0.01))
+    x1, y1 = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return span * np.linspace(x0, x1, nx), span * np.linspace(y0, y1, ny)
+
+
+def _fill_event(bitmap):
+    filled = int(bitmap.sum())
+    event("filled: " + ("none" if filled == 0 else "all" if filled == bitmap.size else "some"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pairwise_matches_reference_on_random_families(data):
+    m = data.draw(st.integers(1, 7), label="m")
+    # at w = 0 the values lie in an arc narrower than pi/2, so the region
+    # holds a neighbourhood of 0 and its boundary crosses most windows
+    turn = data.draw(st.floats(-np.pi, np.pi), label="turn")
+    fam_a = data.draw(_floats(m, 0.1, 3.0)) * np.exp(1j * (turn + data.draw(_floats(m, 0.0, 1.5))))
+    fam_b = np.array(data.draw(st.lists(_complex, min_size=m, max_size=m)))
+    zero_b = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    fam_b[zero_b] = 0.0
+    w_re, w_im = data.draw(_grid())
+    got = _kernels.pairwise_bitmap(fam_a, fam_b, w_re, w_im)
+    want = _reference_pairwise(fam_a, fam_b, w_re, w_im)
+    n = _differing(got, want, _pairwise_explainer(fam_a, fam_b, w_re, w_im))
+    event(f"differing pixels: {n}")
+    _fill_event(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ellipsoid_matches_reference_on_random_ellipsoids(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    center = rng.normal(size=n) * 0.5
+    mat = rng.normal(size=(n, n))
+    shape = mat @ mat.T + 0.2 * np.eye(n)
+    aff_b = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    if data.draw(st.booleans(), label="affine chart"):
+        # w = 0 maps near the centre, so the region meets the window
+        aff_a = np.append(center + 0.3 * rng.normal(size=n), 1.0)
+        aff_b[-1] = 0.0
+    else:
+        # w = 0 is the chart-infinity point, inside the window
+        aff_a = np.append(rng.normal(size=n) + 1j * rng.normal(size=n), 0.0)
+    w_re, w_im = data.draw(_grid())
+    got = _kernels.ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im)
+    want = _reference_ellipsoid(center, shape, aff_a, aff_b, w_re, w_im)
+    n_diff = _differing(got, want, _ellipsoid_explainer(center, shape, aff_a, aff_b, w_re, w_im))
+    event(f"differing pixels: {n_diff}")
+    _fill_event(want)
+
+
+def test_ellipsoid_pixel_at_chart_infinity_is_outside():
+    center, shape = catalog.ellipse().ellipsoid_data()
+    # last = w: chart infinity is the centre pixel w = 0 of an odd grid
+    aff_a = np.array([0.3 + 0.1j, -0.2 + 0j, 0.0])
+    aff_b = np.array([0.0, 0.0, 1.0 + 0j])
+    w = np.linspace(-2.0, 2.0, 41)
+    got = _kernels.ellipsoid_bitmap(center, shape, aff_a, aff_b, w, w)
+    assert got[20, 20] == 0
+    np.testing.assert_array_equal(
+        got, _reference_ellipsoid(center, shape, aff_a, aff_b, w, w))
+    assert got.any()  # far from w = 0 the chart value approaches the centre
+    # With a negative definite shape every finite pixel passes and the form
+    # is negative at chart infinity too, so only the guard keeps it outside.
+    got = _kernels.ellipsoid_bitmap(center, -np.eye(2), aff_a, aff_b, w, w)
+    np.testing.assert_array_equal(
+        got, _reference_ellipsoid(center, -np.eye(2), aff_a, aff_b, w, w))
+    assert got[20, 20] == 0 and got.sum() == got.size - 1
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_pixel_on_a_zero_of_a_value_is_outside(m):
+    # v_0(w) = w vanishes at the centre pixel w = 0 of an odd grid
+    fam_a = np.array([0.0, 1.0 + 0.2j, 0.8 + 0.5j][:m])
+    fam_b = np.array([1.0 + 0j, 0.1j, -0.1][:m])
+    w = np.linspace(-0.5, 0.5, 21)
+    got = _kernels.pairwise_bitmap(fam_a, fam_b, w, w)
+    np.testing.assert_array_equal(got, _reference_pairwise(fam_a, fam_b, w, w))
+    assert got[10, 10] == 0 and got.any()
