@@ -1,6 +1,7 @@
 """Benchmark the rejection samplers: time per accepted sample and acceptance.
 
-For every catalog domain it times ``Tube.sample_points``,
+For every catalog domain (or every entry of ``--domains``: catalog names or
+``.dom`` files) it times ``Tube.sample_points``,
 ``Tube.sample_exterior`` and ``ConvexDomain.sample_interior`` (best of
 ``--repeat`` runs) and reports the microseconds per accepted sample and the
 box acceptance rate, accepted samples over box draws evaluated.
@@ -11,6 +12,7 @@ consecutive ``rng.random`` rows to its box (``lo + (hi - lo) u``, as
 evaluated, so regenerating the stream and finding that row gives the count.
 
     python3 benchmarks/bench_samplers.py [--count 200] [--repeat 3] [--seed 0]
+        [--domains square,triangle,perfbench/cube3.dom]
 """
 
 import argparse
@@ -19,6 +21,7 @@ import time
 import numpy as np
 
 from elliptic_tubes import Tube, catalog
+from elliptic_tubes.domspec import load_domain
 
 
 def _draws_used(seed, lo, hi, last, chunk=65536):
@@ -46,6 +49,14 @@ def _tube_box(tube, spread=0.0):
     return np.concatenate([lo, -im_half]), np.concatenate([hi, im_half])
 
 
+def _domain(entry):
+    """(label, domain) of a catalog name or a ``.dom`` file path."""
+    if entry.endswith(".dom"):
+        spec = load_domain(entry)
+        return spec.name or entry, spec.domain
+    return entry, catalog.by_name(entry)
+
+
 def _samplers(domain):
     """(label, run(rng, count), box lo, box hi, flat(sample) -> box row)."""
     tube = Tube(domain)
@@ -63,14 +74,15 @@ def main():
     parser.add_argument("--count", type=int, default=200, help="samples per call")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--domains", default=",".join(catalog.names()))
+    parser.add_argument("--domains", default=",".join(catalog.names()),
+                        help="comma-separated catalog names or .dom paths")
     args = parser.parse_args()
 
     header = f"{'domain':<10} {'sampler':<16} {'us/sample':>10} {'acceptance':>11} {'draws':>9}"
     print(header)
     print("-" * len(header))
-    for name in args.domains.split(","):
-        domain = catalog.by_name(name)
+    for entry in args.domains.split(","):
+        name, domain = _domain(entry)
         for label, run, lo, hi, flat in _samplers(domain):
             best = np.inf
             for _ in range(args.repeat):

@@ -13,8 +13,7 @@ reference point and scaled to unit Euclidean norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +147,6 @@ class Interval:
     ``t -> x0 + t * direction`` inherited from the line's span basis.  The
     endpoint lifts ``v0, v1`` have chart-infinity component 1, so interior
     points are exactly the classes of ``c0 v0 + c1 v1`` with ``c0 c1 > 0``.
-    The :class:`RealLine` through the segment is built on first use.
     """
 
     x0: np.ndarray
@@ -157,21 +155,6 @@ class Interval:
     b: float
     v0: np.ndarray
     v1: np.ndarray
-    chart: Chart = field(repr=False)
-
-    @cached_property
-    def line(self):
-        return RealLine(
-            HPoint(self.chart.lift(self.x0)), HPoint(self.chart.direction_lift(self.direction))
-        )
-
-    @property
-    def length(self):
-        return self.b - self.a
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.a + self.b)
 
     def endpoint_points(self):
         return self.x0 + self.a * self.direction, self.x0 + self.b * self.direction
@@ -369,6 +352,20 @@ class ConvexDomain:
             raise DegenerateError("not an ellipsoid representation")
         return self._center.copy(), self._shape.copy()
 
+    def quadric(self):
+        """The ellipsoid's boundary quadric: the symmetric (n+1, n+1) matrix
+        Q with ``X^T Q X < 0`` exactly on the lifts X of interior points, in
+        the coordinates the chart maps from."""
+        center, shape = self.ellipsoid_data()
+        n = self.n
+        q_chart = np.zeros((n + 1, n + 1))
+        q_chart[:n, :n] = shape
+        q_chart[:n, n] = -shape @ center
+        q_chart[n, :n] = -shape @ center
+        q_chart[n, n] = center @ shape @ center - 1.0
+        m = self.chart.matrix
+        return m.T @ q_chart @ m
+
     # ------------------------------------------------------------------
     # line geometry
 
@@ -450,7 +447,6 @@ class ConvexDomain:
             b=float(hi),
             v0=self.chart.lift(x0 + lo * direction),
             v1=self.chart.lift(x0 + hi * direction),
-            chart=self.chart,
         )
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     RepresentationError,
 )
 from .projective import Chart, Functional, HPoint
-from .tube import COMPLEX_BOUNDARY, REAL_BOUNDARY, Tube
+from .tube import COMPLEX_BOUNDARY, REAL_BOUNDARY, Tube, pair_gram
 
 _CLOSED_SLACK = 1e-12
 
@@ -117,16 +117,8 @@ def dual_complement_ellipsoid(domain: ConvexDomain) -> DualDomain:
     quadric: again an ellipsoid, in the dual chart."""
     if not isinstance(domain.rep, Ellipsoid):
         raise RepresentationError("dual_complement_ellipsoid expects an ellipsoid")
-    center, shape = domain.ellipsoid_data()
     n = domain.n
-    q_chart = np.zeros((n + 1, n + 1))
-    q_chart[:n, :n] = shape
-    q_chart[:n, n] = -shape @ center
-    q_chart[n, :n] = -shape @ center
-    q_chart[n, n] = center @ shape @ center - 1.0
-    m = domain.chart.matrix
-    q_orig = m.T @ q_chart @ m
-    nmat = np.linalg.inv(q_orig)
+    nmat = np.linalg.inv(domain.quadric())
     chart = dual_chart(domain)
     w = chart.inverse.T @ nmat @ chart.inverse
     a = w[:n, :n]
@@ -159,6 +151,17 @@ def dual_tube(domain: ConvexDomain):
     return Tube(dual.domain), dual
 
 
+def _violating_pair(domain: ConvexDomain, lift):
+    """``(fam, vals, pair)``: the family's raw homogeneous rows, their values
+    at ``lift`` and the first pair of :func:`pair_gram` (None inside)."""
+    # raw pulled-back rows keep the positive-on-the-cone sign convention
+    # (Functional would re-normalize the leading coefficient)
+    fam = domain.rows() @ domain.chart.matrix
+    vals = fam @ lift
+    _, pair = pair_gram(vals)
+    return fam, vals, pair
+
+
 def tube_separator(domain: ConvexDomain, z):
     """A dual-tube functional vanishing at a point outside the tube.
 
@@ -174,20 +177,13 @@ def tube_separator(domain: ConvexDomain, z):
     else:
         zeta = tube.chart_complex(z)
         lift = domain.chart.inverse @ np.append(zeta, 1.0)
-    # raw pulled-back rows keep the positive-on-the-cone sign convention
-    # (Functional would re-normalize the leading coefficient)
-    fam = domain.rows() @ domain.chart.matrix
-    vals = fam @ lift
-    gram = np.real(np.outer(vals, np.conj(vals)))
-    m = len(fam)
-    for i in range(m):
-        for j in range(i, m):
-            if gram[i, j] <= 0.0:
-                if i == j or (abs(vals[i]) < 1e-15 and abs(vals[j]) < 1e-15):
-                    return Functional(fam[i])
-                xi = vals[j] * fam[i] - vals[i] * fam[j]
-                return Functional(xi)
-    raise InsideTubeError("the point lies inside the tube; no separator exists")
+    fam, vals, pair = _violating_pair(domain, lift)
+    if pair is None:
+        raise InsideTubeError("the point lies inside the tube; no separator exists")
+    i, j = pair
+    if i == j or (abs(vals[i]) < 1e-15 and abs(vals[j]) < 1e-15):
+        return Functional(fam[i])
+    return Functional(vals[j] * fam[i] - vals[i] * fam[j])
 
 
 @dataclass

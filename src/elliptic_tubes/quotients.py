@@ -47,15 +47,7 @@ def _preserves(domain: ConvexDomain, gmap: ProjectiveMap, tol=_PROJ_TOL) -> bool
         targets = [f.coeffs for f in rep.functionals]
         return _matches_setwise(images, targets, tol)
     if isinstance(rep, Ellipsoid):
-        center, shape = domain.ellipsoid_data()
-        n = domain.n
-        q = np.zeros((n + 1, n + 1))
-        q[:n, :n] = shape
-        q[:n, n] = -shape @ center
-        q[n, :n] = -shape @ center
-        q[n, n] = center @ shape @ center - 1.0
-        m = domain.chart.matrix
-        q_orig = m.T @ q @ m
+        q_orig = domain.quadric()
         inv = np.linalg.inv(amat)
         pulled = inv.T @ q_orig @ inv
         scale = np.trace(pulled @ q_orig) / np.trace(q_orig @ q_orig)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskgeom import distance_from_angle, geodesic_foot, poincare_distance
-from .domains import ConvexDomain, HDomain, Interval, _norms, box_rejection
+from .domains import ConvexDomain, HDomain, _norms, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ZeroDirectionError,
 )
-from .projective import HPoint, RealLine, is_real
+from .projective import HPoint, is_real
 
 # chart-level reality band: imaginary part below this relative size is dust
 _REAL_BAND = 1e-12
@@ -55,15 +55,10 @@ class SliceDisk:
     slice itself onto the open unit disk.
     """
 
-    interval: Interval
     x0: np.ndarray
     direction: np.ndarray
     a: float
     b: float
-
-    @property
-    def line(self) -> RealLine:
-        return self.interval.line
 
     def to_unit_disk(self, tau):
         return (2.0 * tau - (self.a + self.b)) / (self.b - self.a)
@@ -163,8 +158,7 @@ class Tube:
         if parts is None:
             return False
         zeta = self.chart_complex(z)
-        vals = self.base.rows() @ np.append(zeta, 1.0)
-        gram = np.real(np.outer(vals, np.conj(vals)))
+        gram, _ = pair_gram(self.base.rows() @ np.append(zeta, 1.0))
         return bool(gram.min() > 0.0)
 
     def violation(self, zeta):
@@ -176,8 +170,7 @@ class Tube:
         zeta = np.asarray(zeta, dtype=np.complex128).reshape(self.n)
         lift = np.append(zeta, 1.0)
         if self.base._rows is not None:
-            vals = self.base.rows() @ lift
-            gram = np.real(np.outer(vals, np.conj(vals)))
+            gram, _ = pair_gram(self.base.rows() @ lift)
             return float(-gram.min() / (np.linalg.norm(lift) ** 2))
         center, shape = self.base.ellipsoid_data()
         u = zeta.real - center
@@ -218,16 +211,11 @@ class Tube:
         if not norm > 0.0:
             raise ZeroDirectionError("slice direction must be nonzero")
         direction = direction / norm
-        clip = self.base.line_clip((x0, direction))
+        clip = self.base._clip_ab((x0, direction))
         if clip is None:
             raise EmptySliceError("the line does not meet the base domain")
-        return SliceDisk(
-            interval=clip,
-            x0=x0,
-            direction=direction,
-            a=clip.a,
-            b=clip.b,
-        )
+        a, b = clip
+        return SliceDisk(x0=x0, direction=direction, a=float(a), b=float(b))
 
     # ------------------------------------------------------------------
     # boundary gauges
@@ -245,12 +233,6 @@ class Tube:
         speed, a, b, _ = self._trace_clips(x[None], y[None])
         # x interior implies a < 0 < b
         return _gauge_pair(speed[0], a[0], b[0])
-
-    def p_value(self, z):
-        """Ray exit gauge: 1 / s* where the ray ``x + s y`` leaves the base
-        at s = s*; zero for real points."""
-        p_plus, _ = self._gauges(z)
-        return p_plus
 
     def u_value(self, z):
         """Boundary angle ``arctan(p + p~, 1 - p p~)`` in [0, pi/2)."""
@@ -363,12 +345,11 @@ class Tube:
         return np.concatenate([lo, -im_half]), np.concatenate([hi, im_half])
 
     def _parts(self, draws):
-        """Real parts, imaginary parts, |Im| and reality flags of box draws,
-        the band of :meth:`_split` applied row by row."""
+        """Real parts, imaginary parts and reality flags of box draws, the
+        band of :meth:`_split` applied row by row."""
         x = np.ascontiguousarray(draws[:, : self.n])
         y = np.ascontiguousarray(draws[:, self.n:])
-        speed = _norms(y)
-        return x, y, speed, speed <= _REAL_BAND * (1.0 + _norms(x))
+        return x, y, _norms(y) <= _REAL_BAND * (1.0 + _norms(x))
 
     def _points(self, draws):
         """Complex chart points of box draws ``(Re z, Im z)``."""
@@ -379,8 +360,9 @@ class Tube:
 
     def sample_points(self, rng, count, band=1e-6):
         """Interior tube samples in chart coordinates, rejecting a boundary
-        band (gauge product within ``band`` of 1, or real part within
-        ``band`` of the base boundary).
+        band: a draw is kept when its real part has margin at least ``band``
+        and ``boundary_classify`` with that band calls it Interior (so its
+        gauge product is at most 1 - band).
 
         Box rejection from ``bounding_box()``, evaluated in blocks: a draw
         is ``rng.uniform(lo, hi)`` for the real part followed by
@@ -389,16 +371,10 @@ class Tube:
         point at a time (see :func:`box_rejection`)."""
 
         def accept(draws):
-            x, y, speed, real = self._parts(draws)
-            # every non-real draw, and real ones whose |Im z| tops the band
-            sliced = speed > _REAL_BAND
-            s, a, b, ok = self._trace_clips(x[sliced], y[sliced])
-            member = self.base.contains_rows(x)
-            member[sliced & ~real] = (ok & _in_disk(s, a, b))[~real[sliced]]
-            keep = member & ~(self.base.margin_rows(x) < band)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_plus, p_minus = _gauge_pair(s, a, b)
-                keep[sliced] &= ~(np.abs(p_plus * p_minus - 1.0) < band)
+            x, y, real = self._parts(draws)
+            # only draws whose real part lies in D reach the line clip
+            keep = self.base.margin_rows(x) >= band
+            keep[keep] = self._classify_rows(x[keep], y[keep], real[keep], band) == _INTERIOR
             return keep
 
         lo, hi = self._draw_box(*self.bounding_box())
@@ -410,7 +386,7 @@ class Tube:
         drawn like :meth:`sample_points`."""
 
         def accept(draws):
-            x, y, _, real = self._parts(draws)
+            x, y, real = self._parts(draws)
             return self._classify_rows(x, y, real, band) == _EXTERIOR
 
         lo, hi, im_half = self.bounding_box()
@@ -441,10 +417,29 @@ def _gauge_pair(speed, a, b):
 def interval_gauges(a, b, s, t):
     """Gauge pair for a point ``s + i t`` over the strip of an interval
     (a, b): ``p = |t| / (b - s)`` on the upper branch and
-    ``|t| / (s - a)`` on the lower one (vectorized helper for rasters)."""
+    ``|t| / (s - a)`` on the lower one (vectorized helper for rasters);
+    :func:`_gauge_pair` of the clip shifted by s."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_plus = np.abs(t) / (b - s)
-        p_minus = np.abs(t) / (s - a)
-    return p_plus, p_minus
+        return _gauge_pair(np.abs(t), a - s, b - s)
+
+
+def pair_gram(vals):
+    """The Gram test of a functional family's values ``vals`` at a point.
+
+    Returns the matrix ``Re(v_p conj v_q)`` and the first pair ``(p, q)``
+    with p <= q, in lexicographic order, whose entry is <= 0, or None when
+    every pair is positive (the point lies in the tube).  NaN entries count
+    as positive in the pair search; ``gram.min()`` is NaN for them.
+    """
+    gram = np.real(np.outer(vals, np.conj(vals)))
+    # points inside the tube, the common case, skip the Python pair loop
+    if gram.min() > 0.0:
+        return gram, None
+    m = len(vals)
+    for i in range(m):
+        for j in range(i, m):
+            if gram[i, j] <= 0.0:
+                return gram, (i, j)
+    return gram, None

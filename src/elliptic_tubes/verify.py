@@ -18,7 +18,7 @@ from scipy.linalg import null_space
 
 from . import _kernels
 from .domains import ConvexDomain, HDomain
-from .duality import dual_tube, tube_separator
+from .duality import _violating_pair, dual_tube, tube_separator
 from .errors import RepresentationError, ZeroDirectionError
 from .projective import Functional, HPoint, pushforward
 from .quotients import _preserves
@@ -277,19 +277,6 @@ def connectivity_counts(bitmap):
 # linear convexity (separators)
 
 
-def _first_violating_pair(domain: ConvexDomain, lift):
-    # sign-correct raw rows in homogeneous coordinates (see tube_separator)
-    fam = domain.rows() @ domain.chart.matrix
-    vals = fam @ lift
-    gram = np.real(np.outer(vals, np.conj(vals)))
-    m = len(fam)
-    for i in range(m):
-        for j in range(i, m):
-            if gram[i, j] <= 0.0:
-                return i, j, vals, fam
-    return None
-
-
 def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples=1000,
                             seed=0, tol=1e-10, variant="difference") -> VerifierReport:
     """Every exterior point is annihilated by a hyperplane missing the tube.
@@ -319,11 +306,11 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
         if variant == "difference":
             xi = tube_separator(domain, z)
         else:
-            found = _first_violating_pair(domain, lift)
-            if found is None:
+            fam, vals, pair = _violating_pair(domain, lift)
+            if pair is None:
                 report.skipped += 1
                 continue
-            i, j, vals, fam = found
+            i, j = pair
             xi_coeffs = vals[j] * fam[i] + vals[i] * fam[j]
             if np.linalg.norm(xi_coeffs) < 1e-14:
                 xi = Functional(fam[i])
@@ -516,9 +503,7 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
         report.skipped += half
         report.details["separator_direction"] = "skipped (no functional family)"
         return report
-    sep_tube = Tube(hdom)
-    for k in range(half):
-        z = sep_tube.sample_exterior(rng, 1)[0]
+    for z in Tube(hdom).sample_exterior(rng, half):
         report.samples_run += 1
         xi = tube_separator(hdom, z)
         lift = hdom.chart.inverse @ np.append(z, 1.0)

@@ -106,7 +106,7 @@ def test_annihilator_vanishes_at_its_point(rng):
         xi = annihilator(HPoint(lift))
         perp = rng.normal(size=4)
         perp -= (perp @ lift) / (lift @ lift) * lift
-        assert abs(xi.coeffs @ lift) < 1e-9 or True  # xi *is* the lift
+        assert _proj_match(xi.coeffs, lift)  # xi *is* the lift
         # as a dual point, functionals vanishing at lift pair to zero with it
         assert abs(perp @ xi.coeffs) < 1e-12 * (1 + np.linalg.norm(perp))
 
@@ -131,6 +131,18 @@ def test_separator_vanishes_and_is_dual_member(triangle, rng):
         assert closed_dual_membership(triangle, xi, slack=1e-9)
         hits += 1
     assert hits == 120
+
+
+def test_separator_where_a_row_vanishes(triangle):
+    # the first row x > 0 is exactly 0 at z: its own Gram entry |v_0|^2 = 0
+    # is the first violating pair, and the row itself is the separator
+    z = np.array([0.0 + 0.0j, 0.3 + 0.2j])
+    lift = triangle.chart.inverse @ np.append(z, 1.0)
+    assert (triangle.rows() @ triangle.chart.matrix)[0] @ lift == 0.0
+    xi = tube_separator(triangle, z)
+    assert _proj_match(xi.coeffs, triangle.rows()[0] @ triangle.chart.matrix)
+    assert xi.coeffs @ lift == 0.0
+    assert closed_dual_membership(triangle, xi, slack=1e-9)
 
 
 def test_separator_real_exterior_point(triangle):

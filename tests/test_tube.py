@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptic_tubes import catalog
 from elliptic_tubes.diskgeom import poincare_distance
@@ -18,6 +20,7 @@ from elliptic_tubes.tube import (
     INTERIOR,
     REAL_BOUNDARY,
     Tube,
+    pair_gram,
 )
 
 
@@ -266,3 +269,29 @@ def test_bounding_box_contains_samples(square, rng):
     for z in tube.sample_points(rng, 100):
         assert np.all(z.real >= lo - 1e-12) and np.all(z.real <= hi + 1e-12)
         assert np.all(np.abs(z.imag) <= im_half + 1e-12)
+
+
+# ---------- the pairwise Gram test ------------------------------------------------
+
+# quarter-integer parts: every product and sum below is exact, so the brute
+# force and pair_gram see the same signs; zeros and real-only values included
+_PART = st.integers(-8, 8).map(lambda k: k / 4.0)
+_VALUE = st.one_of(
+    st.just(0j),
+    _PART.map(complex),
+    st.tuples(_PART, _PART).map(lambda ri: complex(*ri)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vals=st.lists(_VALUE, min_size=1, max_size=7))
+def test_pair_gram_matches_double_loop(vals):
+    m = len(vals)
+    table = [[(vals[p] * vals[q].conjugate()).real for q in range(m)] for p in range(m)]
+    first = next(
+        ((p, q) for p in range(m) for q in range(p, m) if table[p][q] <= 0.0), None
+    )
+    gram, pair = pair_gram(np.array(vals, dtype=np.complex128))
+    assert pair == first
+    assert gram.min() == min(min(row) for row in table)
+    assert gram.shape == (m, m)
