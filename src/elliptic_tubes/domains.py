@@ -51,11 +51,6 @@ def _quadratic(vecs, shape, others):
     return ((vecs[:, None, :] @ shape) @ others[:, :, None])[:, 0, 0]
 
 
-def _norms(vecs):
-    """Euclidean length of every row, rounded as ``np.linalg.norm(v)``."""
-    return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
-
-
 def _affine(points):
     """Rows ``(x, 1)``: the chart lifts of a (B, n) array of points."""
     lifts = np.ones((len(points), points.shape[1] + 1))
@@ -201,6 +196,7 @@ class ConvexDomain:
         self._rows = None  # unit rows, positive on the domain
         self._center = None
         self._shape = None
+        self._a_min = None  # an ellipsoid's shortest semi-axis
 
         if isinstance(rep, VPolytope):
             self._verts = np.vstack([chart.to_chart(v) for v in rep.vertices])
@@ -209,6 +205,7 @@ class ConvexDomain:
         elif isinstance(rep, Ellipsoid):
             self._center = rep.center
             self._shape = 0.5 * (rep.shape + rep.shape.T)
+            self._a_min = 1.0 / np.sqrt(np.linalg.eigvalsh(self._shape)[-1])
             if reference_point is None:
                 reference_point = self._center
         else:
@@ -285,8 +282,7 @@ class ConvexDomain:
             return np.min(_rowdot(self._bound_rows, _affine(points)), axis=1)
         d = points - self._center
         q = _quadratic(d, self._shape, d)
-        a_min = 1.0 / np.sqrt(np.linalg.eigvalsh(self._shape)[-1])
-        return (1.0 - np.sqrt(np.maximum(q, 0.0))) * a_min
+        return (1.0 - np.sqrt(np.maximum(q, 0.0))) * self._a_min
 
     @property
     def bbox(self):

@@ -53,6 +53,38 @@ def normalize_lift(v):
     return v
 
 
+def _dots(rows):
+    """``row @ row`` for every row of a real (B, k) array, rounded as the
+    one-row product (each stacked product is one ``dot``)."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def row_norms(rows):
+    """``np.linalg.norm(row)`` of every row of a real or complex (B, k)
+    array, rounded as the one-row call."""
+    if rows.dtype.kind == "c":  # cheaper than np.iscomplexobj on the scalar paths
+        return np.sqrt(_dots(rows.real) + _dots(rows.imag))
+    return np.sqrt(_dots(rows))
+
+
+def normalize_lifts(rows):
+    """:func:`normalize_lift` of every row of a (B, k) array, each row
+    rounded as the one-row call rounds it; a zero row gives NaNs."""
+    rows = np.array(rows, dtype=np.complex128 if np.iscomplexobj(rows) else np.float64)
+    rows = rows / row_norms(rows)[:, None]
+    mags = np.abs(rows)
+    lead = np.argmax(mags > _TINY * mags.max(axis=1, keepdims=True), axis=1)
+    at = np.arange(len(rows))
+    pivot = rows[at, lead]
+    if np.iscomplexobj(rows):
+        # np.hypot rounds as the scalar abs() of one pivot
+        rows = rows * (pivot.conjugate() / np.hypot(pivot.real, pivot.imag))[:, None]
+        rows[at, lead] = rows[at, lead].real
+    else:
+        rows = np.where((pivot < 0.0)[:, None], -rows, rows)
+    return rows
+
+
 class HPoint:
     """A point of RP^n or CP^n held as a normalized lift."""
 
@@ -292,6 +324,17 @@ class Chart:
             raise InfinityError("point lies at infinity in this chart")
         return self.basis_values(lift) / h
 
+    def to_chart_rows(self, lifts, tol=1e-12):
+        """:meth:`to_chart` of every row of a (B, n+1) lift array, each row
+        rounded as the one-point call rounds it: ``(coords, finite)``, where
+        ``finite`` is false (and the coordinates undefined) for the rows on
+        which :meth:`to_chart` raises InfinityError."""
+        h = (self.matrix[-1] @ lifts[:, :, None])[:, 0]
+        scale = np.linalg.norm(self.matrix[-1]) * row_norms(lifts)
+        finite = np.abs(h) > tol * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.matrix[:-1] @ lifts[:, :, None])[:, :, 0] / h[:, None], finite
+
     def lift(self, x):
         """Raw (unnormalized) lift of chart coordinates."""
         x = np.asarray(x)
@@ -352,10 +395,22 @@ class ProjectiveMap:
         return sv[1] <= tol * sv[0]
 
     def is_identity(self, tol=1e-9):
-        return self.proj_eq(ProjectiveMap(np.eye(self.matrix.shape[0])), tol=tol)
+        return bool(identity_rows(self.matrix[None], tol)[0])
 
     def __repr__(self):
         return f"ProjectiveMap({np.array2string(self.matrix, precision=6)})"
+
+
+def identity_rows(mats, tol=1e-9):
+    """Which matrices of a (B, k, k) stack act as the projective identity:
+    :meth:`ProjectiveMap.proj_eq` against the identity, one stacked SVD."""
+    flat = mats.reshape(len(mats), -1)
+    eye = np.eye(mats.shape[1]).ravel()
+    stack = np.empty((len(mats), 2, len(eye)))
+    stack[:, 0] = flat / row_norms(flat)[:, None]
+    stack[:, 1] = eye / np.linalg.norm(eye)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return sv[:, 1] <= tol * sv[:, 0]
 
 
 def real_trace_line(z, tol=REALITY_TOL):

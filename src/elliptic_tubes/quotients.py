@@ -22,7 +22,7 @@ from .errors import (
     InfinityError,
     UnsupportedConfigurationError,
 )
-from .projective import HPoint, ProjectiveMap, proj_eq
+from .projective import HPoint, ProjectiveMap, identity_rows, normalize_lifts, proj_eq
 from .report import VerifierReport
 from .tube import Tube
 
@@ -99,68 +99,90 @@ class ConvexRPManifold:
 
     def reduced_words(self, max_length):
         """All nonempty reduced words up to the given length (no letter is
-        immediately followed by its inverse)."""
-        alphabet = []
-        for k in range(len(self.generators)):
-            alphabet.append(k)
-            alphabet.append(-k - 1)
-        words = []
-        frontier = [()]
+        immediately followed by its inverse), shortest first."""
+        return self.word_matrices(max_length)[0]
+
+    def word_matrices(self, max_length):
+        """The reduced words of :meth:`reduced_words` and their matrices, a
+        (W, n+1, n+1) array.
+
+        A word's matrix is ``letter @ M[word[:-1]]``, with each inverse
+        letter inverted once and each length made in one stacked product,
+        so it is rounded as :meth:`element` rounds it.
+        """
+        alphabet, letter_mats = [], []
+        for k, g in enumerate(self.generators):
+            alphabet += [k, -k - 1]
+            letter_mats += [g.matrix, np.linalg.inv(g.matrix)]
+        letter_mats = np.stack(letter_mats)
+        words, blocks = [], []
+        frontier, mats = [()], np.eye(self.domain.n + 1)[None]
         for _ in range(max_length):
-            nxt = []
-            for word in frontier:
-                for letter in alphabet:
+            nxt, prefix, last = [], [], []
+            for p, word in enumerate(frontier):
+                for i, letter in enumerate(alphabet):
                     # the inverse of letter L is -L-1 in this encoding
                     if word and word[-1] == -letter - 1:
                         continue
                     nxt.append(word + (letter,))
+                    prefix.append(p)
+                    last.append(i)
+            mats = letter_mats[last] @ mats[prefix]
             words.extend(nxt)
+            blocks.append(mats)
             frontier = nxt
-        return words
+        return words, np.concatenate(blocks)
 
 
 def check_free_action(manifold: ConvexRPManifold, word_length=8) -> VerifierReport:
     """Verify that no short reduced word fixes a point of the tube.
 
     Eigenvectors of each word's matrix are the fixed points of its action;
-    any eigenvector class inside the tube is reported as a violation.  Words
-    acting as the projective identity (relations between the generators,
-    e.g. for commuting generators) are the trivial group element and carry
-    no fixed-point information, so they are skipped and counted.
+    any eigenvector class inside the tube is reported as a violation, the
+    first in column order for each word.  Words acting as the projective
+    identity (relations between the generators, e.g. for commuting
+    generators) are the trivial group element and carry no fixed-point
+    information, so they are skipped and counted.
+
+    All words are decided together: one stacked identity test, one stacked
+    ``eig`` and one :meth:`Tube.contains_rows` call over every eigenvector,
+    each rounded as a one-word check rounds it.
     """
     report = VerifierReport(
         name="free_action",
         tolerance=_PROJ_TOL,
         details={"word_length": word_length},
     )
-    tube = manifold.tube
-    words = manifold.reduced_words(word_length)
-    identity_words = 0
-    for word in words:
-        gmap = manifold.element(word)
-        report.samples_run += 1
-        if gmap.is_identity(_PROJ_TOL):
-            identity_words += 1
-            report.skipped += 1
-            continue
-        eigvals, eigvecs = np.linalg.eig(gmap.matrix)
-        for col in range(eigvecs.shape[1]):
-            vec = eigvecs[:, col]
-            try:
-                point = HPoint(vec)
-            except Exception:
-                continue
-            try:
-                inside = tube.contains(point)
-            except InfinityError:
-                continue
-            if inside:
-                report.record(
-                    f"word {word} fixes a tube point (eigenvalue {eigvals[col]:.6g})"
-                )
-                break
+    words, mats = manifold.word_matrices(word_length)
+    identity = identity_rows(mats, _PROJ_TOL)
+    report.samples_run = len(words)
+    report.skipped = int(identity.sum())
+    moving = np.flatnonzero(~identity)
+    if len(moving):
+        eigvals, eigvecs = np.linalg.eig(mats[moving])
+        # a one-word eig call returns a real spectrum and its eigenvectors
+        # as real arrays, but the stacked call only when every spectrum of
+        # the stack is real: take the real parts word by word
+        real = np.all(eigvals.imag == 0.0, axis=1)
+        lifts = np.swapaxes(eigvecs, 1, 2)  # [word, column, coordinate]
+        k = lifts.shape[1]
+        zeta = np.empty((len(moving), k, k - 1), dtype=np.complex128)
+        finite = np.empty((len(moving), k), dtype=bool)
+        chart = manifold.domain.chart
+        for rows, group in ((lifts[real].real, real), (lifts[~real], ~real)):
+            coords, ok = chart.to_chart_rows(normalize_lifts(rows.reshape(-1, k)))
+            zeta[group] = coords.reshape(-1, k, k - 1)
+            finite[group] = ok.reshape(-1, k)
+        inside = np.zeros_like(finite)
+        inside[finite] = manifold.tube.contains_rows(zeta[finite])
+        for w in np.flatnonzero(inside.any(axis=1)):
+            col = int(np.argmax(inside[w]))
+            value = eigvals[w, col].real if real[w] else eigvals[w, col]
+            report.record(
+                f"word {words[moving[w]]} fixes a tube point (eigenvalue {value:.6g})"
+            )
     report.details["words_checked"] = len(words)
-    report.details["identity_words"] = identity_words
+    report.details["identity_words"] = report.skipped
     return report
 
 
@@ -237,8 +259,8 @@ def orbit_reduce(manifold: ConvexRPManifold, z, word_length=8) -> OrbitResult:
     chart = manifold.domain.chart
     ref = manifold.domain.reference
     best = None
-    for word in [()] + manifold.reduced_words(word_length):
-        mat = manifold.element(word).matrix
+    words, mats = manifold.word_matrices(word_length)
+    for word, mat in zip([()] + words, [np.eye(n + 1), *mats]):
         moved = mat @ lift
         h = chart.infinity(moved)
         if abs(h) <= 1e-12 * np.linalg.norm(moved):

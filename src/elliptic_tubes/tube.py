@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskgeom import distance_from_angle, geodesic_foot, poincare_distance
-from .domains import ConvexDomain, HDomain, _norms, box_rejection
+from .domains import ConvexDomain, HDomain, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ZeroDirectionError,
 )
-from .projective import HPoint, is_real
+from .projective import HPoint, row_norms
 
 # chart-level reality band: imaginary part below this relative size is dust
 _REAL_BAND = 1e-12
@@ -149,6 +149,22 @@ class Tube:
         speed, a, b, ok = self._trace_clips(x[None], y[None])
         return bool(ok[0] and _in_disk(speed[0], a[0], b[0]))
 
+    def contains_rows(self, zeta):
+        """:meth:`contains` of every row of a (B, n) complex chart array:
+        the reality band of :meth:`_split`, then the base test for real
+        rows and the slice test for the others, each row rounded as the
+        one-point call rounds it."""
+        zeta = np.asarray(zeta, dtype=np.complex128)
+        x = np.ascontiguousarray(zeta.real)
+        y = np.ascontiguousarray(zeta.imag)
+        real = _real_rows(x, y)
+        inside = np.empty(len(zeta), dtype=bool)
+        inside[real] = self.base.contains_rows(x[real])
+        if not real.all():
+            speed, a, b, ok = self._trace_clips(x[~real], y[~real])
+            inside[~real] = ok & _in_disk(speed, a, b)
+        return inside
+
     def contains_pairwise(self, z):
         """Functional-route membership for H-domain bases:
         ``Re(f(z) conj(g(z))) > 0`` for every pair of family members."""
@@ -181,11 +197,11 @@ class Tube:
         """``(speed, a, b, ok)`` for the rows of (B, n) arrays x, y with
         nonzero y: ``speed = |y|`` and the clip of the trace line
         ``t -> x + t y / |y|`` (see :meth:`ConvexDomain.clip_lines`)."""
-        speed = _norms(y)
+        speed = row_norms(y)
         direction = y / speed[:, None]
         # renormalized as line_clip renormalizes any direction it is given,
         # so that a slice disk and the membership tests round alike
-        direction = direction / _norms(direction)[:, None]
+        direction = direction / row_norms(direction)[:, None]
         a, b, ok = self.base.clip_lines(x, direction)
         return speed, a, b, ok
 
@@ -334,10 +350,16 @@ class Tube:
 
     def bounding_box(self):
         """(re_lo, re_hi, im_half): the tube lies inside
-        ``[re_lo, re_hi] + i [-im_half, im_half]^n``."""
+        ``[re_lo, re_hi] + i [-im_half, im_half]^n``, with
+        ``im_half = (re_hi - re_lo) / 2``.
+
+        A tube point lies in the disk over a segment of D with that segment
+        as diameter, and the coordinate map z -> z_j sends this disk onto
+        the disk over the segment's image, a subinterval of (lo_j, hi_j);
+        so it lies in the disk with diameter (lo_j, hi_j), where
+        ``|Im z_j| < (hi_j - lo_j) / 2``."""
         lo, hi = self.base.bbox
-        diam = float(np.linalg.norm(hi - lo))
-        return lo, hi, np.full(self.n, diam)
+        return lo, hi, 0.5 * (hi - lo)
 
     @staticmethod
     def _draw_box(lo, hi, im_half):
@@ -349,7 +371,7 @@ class Tube:
         band of :meth:`_split` applied row by row."""
         x = np.ascontiguousarray(draws[:, : self.n])
         y = np.ascontiguousarray(draws[:, self.n:])
-        return x, y, _norms(y) <= _REAL_BAND * (1.0 + _norms(x))
+        return x, y, _real_rows(x, y)
 
     def _points(self, draws):
         """Complex chart points of box draws ``(Re z, Im z)``."""
@@ -398,6 +420,12 @@ class Tube:
 
     def __repr__(self):
         return f"Tube(base={self.base!r})"
+
+
+def _real_rows(x, y):
+    """Reality flags of the points x + iy, rows of (B, n) arrays: the band
+    of :meth:`Tube._split`, each row rounded as it rounds one point."""
+    return row_norms(y) <= _REAL_BAND * (1.0 + row_norms(x))
 
 
 def _in_disk(speed, a, b):

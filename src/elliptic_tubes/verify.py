@@ -66,10 +66,13 @@ def _auto_window(tube: Tube, anchor, direction, margin):
     """A square window certain to contain the whole slice region.
 
     Every tube point is coordinate-bounded; solving ``|anchor_j + w dir_j|
-    <= bound_j`` for the best coordinate gives ``|w| <= W``.
+    <= bound_j`` for the best coordinate gives ``|w| <= W``.  The bound
+    takes ``|hi - lo|``, wider than :meth:`Tube.bounding_box`'s imaginary
+    half width, for every coordinate: the probes and rasters are fitted
+    inside this window, so it fixes their pixel grids.
     """
-    lo, hi, im_half = tube.bounding_box()
-    bound = np.maximum(np.abs(lo), np.abs(hi)) + im_half
+    lo, hi = tube.base.bbox
+    bound = np.maximum(np.abs(lo), np.abs(hi)) + float(np.linalg.norm(hi - lo))
     scale = np.linalg.norm(direction)
     best = np.inf
     for j in range(tube.n):
@@ -300,8 +303,7 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
     witnesses = tube.sample_points(rng, 64)
     per_point = max(1, n_kernel_samples // n_points)
     kernel_tested = 0
-    for k in range(n_points):
-        z = tube.sample_exterior(rng, 1)[0]
+    for z in tube.sample_exterior(rng, n_points):
         lift = domain.chart.inverse @ np.append(z, 1.0)
         if variant == "difference":
             xi = tube_separator(domain, z)
@@ -350,21 +352,83 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
 # slice topology (C-convexity)
 
 
-def _random_line(tube: Tube, rng):
+def _random_line(tube: Tube, rng, through=None):
     """A random complex line through the tube: ``(anchor, direction,
     through_two)``.  With probability 0.7 it joins two sample points at
     least 0.2 apart (64 tries), otherwise it runs from one sample point in
-    a random unit direction."""
+    a random unit direction.  A given ``through`` point is the anchor in
+    place of the first sample point."""
+    if through is not None:
+        through = np.asarray(through, dtype=np.complex128).reshape(tube.n)
     if rng.random() < 0.7:
         for _ in range(64):
-            pts = tube.sample_points(rng, 2)
+            if through is None:
+                pts = tube.sample_points(rng, 2)
+            else:
+                pts = np.vstack([through, tube.sample_points(rng, 1)])
             delta = pts[1] - pts[0]
             if np.linalg.norm(delta) >= 0.2:
                 break
         return pts[0], delta, True
-    anchor = tube.sample_points(rng, 1)[0]
+    anchor = tube.sample_points(rng, 1)[0] if through is None else through
     direction = rng.normal(size=tube.n) + 1j * rng.normal(size=tube.n)
     return anchor, direction / np.linalg.norm(direction), False
+
+
+def _check_line(tube: Tube, anchor, direction, resolution, stability_factor, puncture):
+    """The slice-topology verdict of :func:`verify_c_convexity` on one
+    complex line: ``(violations, bridged)``, the violation messages and how
+    many of its rasters were bridged into one region."""
+    violations = []
+    bridged_count = 0
+
+    def _counts(raster):
+        n_region, n_comp = connectivity_counts(raster.bitmap)
+        bridged = False
+        if n_region > 1:
+            fat = ndimage.binary_dilation(raster.bitmap, structure=_EIGHT).astype(np.uint8)
+            if (connectivity_counts(fat)[0] == 1
+                    or _fragments_join(tube, raster, puncture)):
+                n_region, bridged = 1, True
+        return n_region, n_comp, bridged
+
+    window = _content_window(tube, anchor, direction)
+    raster = rasterize_line(tube, anchor, direction, resolution=resolution,
+                            window=window, puncture=puncture)
+    # the probe can miss a cusp tip thinner than its pixels; widen the
+    # window toward the conservative one until the region fits
+    limit = _auto_window(tube, anchor, direction, 1.1)
+    while raster.touches_frame:
+        wider = _widened(window, raster, limit)
+        if wider == window:
+            break
+        window = wider
+        raster = rasterize_line(tube, anchor, direction, resolution=resolution,
+                                window=window, puncture=puncture)
+    if raster.filled == 0:
+        return ["empty raster"], 0
+    if raster.touches_frame:
+        return ["region clipped by the window"], 0
+    n_region, n_comp, bridged = _counts(raster)
+    bridged_count += bridged
+    ok = n_region == 1 and n_comp == 1
+    if n_region != 1:
+        violations.append(f"region has {n_region} components")
+    if n_comp != 1:
+        violations.append(f"complement has {n_comp} components (holes)")
+    if stability_factor and stability_factor > 1:
+        fine = rasterize_line(tube, anchor, direction,
+                              resolution=resolution * stability_factor,
+                              window=window, puncture=puncture)
+        nr2, nc2, bridged2 = _counts(fine)
+        bridged_count += bridged2
+        ok2 = nr2 == 1 and nc2 == 1
+        if ok != ok2:
+            violations.append(
+                f"verdict changed under refinement "
+                f"({n_region},{n_comp}) -> ({nr2},{nc2})"
+            )
+    return violations, bridged_count
 
 
 def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
@@ -375,7 +439,8 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
     components of the region (must be 1) and of the complement (must be 1,
     so the region has no holes).  Each verdict is recomputed at a finer
     resolution and must not change.  A puncture turns this into its own
-    negative control: the punctured region has a hole and must fail.
+    negative control: every line then runs through the puncture's centre,
+    so each punctured region has a hole and must fail.
 
     Cusp-shaped regions can shed an isolated pixel at any resolution (the
     throat behind the cusp tip drops below pixel width while the tip still
@@ -402,59 +467,16 @@ def verify_c_convexity(domain: ConvexDomain, n_lines=24, resolution=512,
         report.details["puncture_radius"] = float(puncture[1])
     two_point = 0
     bridged_lines = 0
-
-    def _counts(raster):
-        n_region, n_comp = connectivity_counts(raster.bitmap)
-        bridged = False
-        if n_region > 1:
-            fat = ndimage.binary_dilation(raster.bitmap, structure=_EIGHT).astype(np.uint8)
-            if (connectivity_counts(fat)[0] == 1
-                    or _fragments_join(tube, raster, puncture)):
-                n_region, bridged = 1, True
-        return n_region, n_comp, bridged
-
+    through = None if puncture is None else puncture[0]
     for k in range(n_lines):
-        anchor, direction, through_two = _random_line(tube, rng)
+        anchor, direction, through_two = _random_line(tube, rng, through=through)
         two_point += through_two
         report.samples_run += 1
-        window = _content_window(tube, anchor, direction)
-        raster = rasterize_line(tube, anchor, direction, resolution=resolution,
-                                window=window, puncture=puncture)
-        # the probe can miss a cusp tip thinner than its pixels; widen the
-        # window toward the conservative one until the region fits
-        limit = _auto_window(tube, anchor, direction, 1.1)
-        while raster.touches_frame:
-            wider = _widened(window, raster, limit)
-            if wider == window:
-                break
-            window = wider
-            raster = rasterize_line(tube, anchor, direction, resolution=resolution,
-                                    window=window, puncture=puncture)
-        if raster.filled == 0:
-            report.record(f"line {k}: empty raster")
-            continue
-        if raster.touches_frame:
-            report.record(f"line {k}: region clipped by the window")
-            continue
-        n_region, n_comp, bridged = _counts(raster)
+        violations, bridged = _check_line(tube, anchor, direction, resolution,
+                                          stability_factor, puncture)
         bridged_lines += bridged
-        ok = n_region == 1 and n_comp == 1
-        if n_region != 1:
-            report.record(f"line {k}: region has {n_region} components")
-        if n_comp != 1:
-            report.record(f"line {k}: complement has {n_comp} components (holes)")
-        if stability_factor and stability_factor > 1:
-            fine = rasterize_line(tube, anchor, direction,
-                                  resolution=resolution * stability_factor,
-                                  window=window, puncture=puncture)
-            nr2, nc2, bridged2 = _counts(fine)
-            bridged_lines += bridged2
-            ok2 = nr2 == 1 and nc2 == 1
-            if ok != ok2:
-                report.record(
-                    f"line {k}: verdict changed under refinement "
-                    f"({n_region},{n_comp}) -> ({nr2},{nc2})"
-                )
+        for message in violations:
+            report.record(f"line {k}: {message}")
     report.details["two_point_lines"] = two_point
     report.details["bridged_lines"] = bridged_lines
     return report

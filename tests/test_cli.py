@@ -1,10 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elliptic_tubes.cli import _parse_complex, _parse_point, main
 from elliptic_tubes.domspec import parse_domain_text
+
+
+BENCH_DOMAINS = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -259,3 +263,11 @@ def test_bad_complex_is_usage_error(capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "dist", "--file", "/nonexistent.dom", "0", "0.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["cube3", "simplex4"])
+def test_check_all_suites_in_three_and_four_dimensions(capsys, name, seed):
+    code, out, _ = run(capsys, "check", "--file", str(BENCH_DOMAINS / f"{name}.dom"),
+                       "--suite", "all", "--samples", "5", "--seed", str(seed))
+    assert code == 0, out

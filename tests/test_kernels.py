@@ -244,7 +244,7 @@ def test_puncture_matches_reference_on_control_lines():
     rng = np.random.default_rng(np.random.SeedSequence([5]))
     pixels = differing = holed = 0
     for _ in range(6):
-        anchor, direction, _ = _random_line(tube, rng)
+        anchor, direction, _ = _random_line(tube, rng, through=center)
         window = _content_window(tube, anchor, direction)
         for resolution in (512, 1024):
             raster = rasterize_line(tube, anchor, direction, resolution=resolution,

@@ -9,9 +9,11 @@ from elliptic_tubes.projective import (
     ProjectiveMap,
     RealLine,
     cross_ratio,
+    identity_rows,
     is_real,
     line_chart,
     normalize_lift,
+    normalize_lifts,
     proj_eq,
     pushforward,
     real_trace_line,
@@ -28,6 +30,37 @@ def test_normalize_lift_unit_and_phase():
     # complex phase is rotated away up to overall sign conventions
     w = normalize_lift([1j, -2j])
     assert abs(w.imag).max() < 1e-12 or abs(w.real).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["real", "complex", "real-valued complex"])
+def test_row_primitives_round_as_one_point(rng, k, kind):
+    # rows with a negative or zero leading entry, as eigenvectors have
+    lifts = rng.normal(size=(60, k))
+    lifts[::3, 0] = 0.0
+    if kind != "real":
+        lifts = lifts + 1j * rng.normal(size=(60, k)) * (kind == "complex")
+    rows = normalize_lifts(lifts)
+    assert np.array_equal(rows, np.stack([HPoint(v).coords for v in lifts]))
+    chart = Chart(rng.normal(size=(k - 1, k)), rng.normal(size=k))
+    coords, finite = chart.to_chart_rows(rows)
+    for lift, row, ok in zip(lifts, coords, finite):
+        assert ok
+        assert np.array_equal(row, chart.to_chart(HPoint(lift)))
+    # a lift on the hyperplane at infinity
+    at_infinity = normalize_lifts(chart.direction_lift(np.ones(k - 1))[None])
+    assert not chart.to_chart_rows(at_infinity)[1][0]
+    with pytest.raises(InfinityError):
+        chart.to_chart(HPoint(at_infinity[0]))
+
+
+def test_identity_rows_match_is_identity(rng):
+    mats = rng.normal(size=(20, 3, 3))
+    mats[::4] = 2.5 * np.eye(3)
+    mats[1] = -np.eye(3) + 1e-12 * rng.normal(size=(3, 3))
+    want = [ProjectiveMap(m).proj_eq(ProjectiveMap(np.eye(3))) for m in mats]
+    assert identity_rows(mats).tolist() == want
+    assert sum(want) == 6
 
 
 def test_hpoint_proj_eq_ignores_scale_and_phase():

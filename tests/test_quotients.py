@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from elliptic_tubes import catalog
-from elliptic_tubes.errors import GroupValidationError, UnsupportedConfigurationError
+from elliptic_tubes.errors import (
+    GroupValidationError,
+    InfinityError,
+    UnsupportedConfigurationError,
+)
 from elliptic_tubes.projective import HPoint, ProjectiveMap, proj_eq
 from elliptic_tubes.quotients import (
     ConvexRPManifold,
@@ -12,6 +16,7 @@ from elliptic_tubes.quotients import (
     orbit_reduce,
     quotient_distance_cyclic,
 )
+from elliptic_tubes.report import VerifierReport
 
 
 @pytest.fixture
@@ -97,6 +102,82 @@ def test_finite_rotation_is_caught(square):
     manifold = ConvexRPManifold(square, [rot])
     report = check_free_action(manifold, word_length=4)
     assert not report.passed
+
+
+def _reference_free_action(manifold, word_length):
+    """The free-action check as it was before it was batched: per word one
+    product of letters, one identity test, one ``eig`` and one scalar
+    membership test per eigenvector."""
+    report = VerifierReport(name="free_action", tolerance=1e-9,
+                            details={"word_length": word_length})
+    words = manifold.reduced_words(word_length)
+    identity_words = 0
+    for word in words:
+        gmap = manifold.element(word)
+        report.samples_run += 1
+        if gmap.proj_eq(ProjectiveMap(np.eye(gmap.matrix.shape[0])), tol=1e-9):
+            identity_words += 1
+            report.skipped += 1
+            continue
+        eigvals, eigvecs = np.linalg.eig(gmap.matrix)
+        for col in range(eigvecs.shape[1]):
+            try:
+                point = HPoint(eigvecs[:, col])
+            except ValueError:
+                continue
+            try:
+                inside = manifold.tube.contains(point)
+            except InfinityError:
+                continue
+            if inside:
+                report.record(f"word {word} fixes a tube point (eigenvalue {eigvals[col]:.6g})")
+                break
+    report.details["words_checked"] = len(words)
+    report.details["identity_words"] = identity_words
+    return report
+
+
+def _boost(t, angle=0.0):
+    """A hyperbolic isometry of the unit disk's Klein model: the boost by
+    t along the direction at ``angle``."""
+    c, s = np.cosh(t), np.sinh(t)
+    boost = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    turn = np.array([[np.cos(angle), -np.sin(angle), 0.0],
+                     [np.sin(angle), np.cos(angle), 0.0], [0.0, 0.0, 1.0]])
+    return turn @ boost @ turn.T
+
+
+_ACTIONS = {
+    "simplex": (catalog.simplex, catalog.simplex_diagonal_maps()),
+    "halfline": (catalog.halfline, [catalog.doubling_map()]),
+    "fold": (catalog.interval, [np.diag([-1.0, 1.0])]),
+    "rotation": (catalog.square, [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]),
+    # real and complex spectra in one stack, both with fixed points inside
+    "reflection-rotation": (catalog.square, [np.diag([-1.0, 1.0, 1.0]),
+                                             [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]),
+    # non-diagonal: fixed points on the boundary circle, and elliptic
+    # products with fixed points inside
+    "disk-boosts": (catalog.disk, [_boost(0.8), _boost(0.9, 1.1)]),
+}
+
+
+@pytest.mark.parametrize("name, word_length", [
+    *(("simplex", k) for k in range(1, 7)),
+    ("halfline", 8), ("fold", 4), ("rotation", 6), ("reflection-rotation", 4),
+    ("disk-boosts", 5),
+])
+def test_free_action_matches_one_word_loop(name, word_length):
+    factory, generators = _ACTIONS[name]
+    manifold = ConvexRPManifold(factory(), generators)
+    want = _reference_free_action(manifold, word_length).to_text()
+    assert check_free_action(manifold, word_length).to_text() == want
+
+
+def test_word_matrices_are_the_elements(simplex_manifold):
+    words, mats = simplex_manifold.word_matrices(4)
+    assert words == simplex_manifold.reduced_words(4)
+    for word, mat in zip(words, mats):
+        assert np.array_equal(mat, simplex_manifold.element(word).matrix)
 
 
 # ---------- orbit reduction --------------------------------------------------------

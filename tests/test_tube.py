@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from elliptic_tubes import catalog
 from elliptic_tubes.diskgeom import poincare_distance
+from elliptic_tubes.domains import ConvexDomain, VPolytope
+from elliptic_tubes.duality import dual_of
 from elliptic_tubes.errors import (
     EmptySliceError,
     NotInteriorError,
     OutsideTubeError,
     RealPointError,
 )
-from elliptic_tubes.projective import Chart, HPoint
+from elliptic_tubes.projective import Chart, HPoint, ProjectiveMap
 from elliptic_tubes.tube import (
     COMPLEX_BOUNDARY,
     EXTERIOR,
@@ -269,6 +271,83 @@ def test_bounding_box_contains_samples(square, rng):
     for z in tube.sample_points(rng, 100):
         assert np.all(z.real >= lo - 1e-12) and np.all(z.real <= hi + 1e-12)
         assert np.all(np.abs(z.imag) <= im_half + 1e-12)
+
+
+def _vpolytope(verts):
+    return ConvexDomain(VPolytope(tuple(HPoint(np.append(v, 1.0)) for v in verts)))
+
+
+def _box_domains():
+    """The catalog domains and their duals, the 3-cube, the 4-simplex, and
+    a projective image of the simplex in its non-standard chart."""
+    found = {}
+    for name in catalog.names():
+        found[name] = catalog.by_name(name)
+        found[name + "*"] = dual_of(catalog.by_name(name)).domain
+    found["cube3"] = _vpolytope([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)])
+    found["simplex4"] = _vpolytope(np.vstack([np.zeros(4), np.eye(4)]))
+    image = ProjectiveMap([[2.0, 1.0, 0.5], [0.3, 1.0, 0.2], [0.1, 0.4, 1.5]])
+    found["simplex-image"] = catalog.simplex().transform(image)
+    return found
+
+
+_BOX_DOMAINS = _box_domains()
+
+
+@pytest.mark.parametrize("label", sorted(_BOX_DOMAINS))
+def test_tube_points_lie_in_the_coordinate_disks(label):
+    # each coordinate of a tube point lies in the disk with diameter
+    # (lo_j, hi_j); the points are drawn where the old bounding box, of
+    # imaginary half width |hi - lo| on every axis, would draw them: from
+    # that box, and (so that n = 4 keeps some) over real points of the base
+    # at heights up to |hi - lo|
+    domain = _BOX_DOMAINS[label]
+    tube = Tube(domain)
+    lo, hi, im_half = tube.bounding_box()
+    np.testing.assert_array_equal(im_half, 0.5 * (hi - lo))
+    n, diam = tube.n, np.linalg.norm(hi - lo)
+    rng = np.random.default_rng(0)
+    box = rng.uniform(lo, hi, size=(20000, n)) + 1j * rng.uniform(-diam, diam, size=(20000, n))
+    units = rng.normal(size=(20000, n))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    heights = rng.uniform(0.0, diam, size=(20000, 1))
+    fibres = domain.sample_interior(rng, 20000) + 1j * heights * units
+    points = np.vstack([box, fibres])
+    points = points[tube.contains_rows(points)]
+    assert len(points) > 100
+    assert np.all(np.abs(points - 0.5 * (lo + hi)) < 0.5 * (hi - lo))
+
+
+def test_bounding_box_is_tight(square):
+    # the tube over the square is the bidisk, so each imaginary half width
+    # is approached
+    tube = Tube(square)
+    _, _, im_half = tube.bounding_box()
+    for j in range(2):
+        z = np.zeros(2, dtype=complex)
+        z[j] = 0.995j
+        assert tube.contains(z)
+        assert abs(z[j].imag) > 0.99 * im_half[j]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    label=st.sampled_from(sorted(_BOX_DOMAINS)),
+    seed=st.integers(0, 2**32 - 1),
+    # real rows, rows inside and just outside the reality band, and
+    # ordinary complex rows
+    height=st.sampled_from([0.0, 1e-14, 1e-12, 1e-9, 0.1, 1.0]),
+)
+def test_contains_rows_matches_contains(label, seed, height):
+    domain = _BOX_DOMAINS[label]
+    tube = Tube(domain)
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bbox
+    pad = 0.3 * (hi - lo)
+    x = rng.uniform(lo - pad, hi + pad, size=(40, domain.n))
+    y = height * rng.random((40, 1)) * rng.normal(size=(40, domain.n))
+    zeta = x + 1j * y
+    assert tube.contains_rows(zeta).tolist() == [tube.contains(z) for z in zeta]
 
 
 # ---------- the pairwise Gram test ------------------------------------------------

@@ -6,6 +6,7 @@ from elliptic_tubes.errors import RepresentationError
 from elliptic_tubes.report import VerifierReport
 from elliptic_tubes.tube import Tube
 from elliptic_tubes.verify import (
+    _check_line,
     _content_window,
     _fragments_join,
     _random_line,
@@ -72,30 +73,54 @@ def test_raster_window_never_clips(triangle, rng):
         assert not raster.touches_frame
 
 
+# Lines that `_random_line` once drew on the triangle, kept as literals so
+# that the regressions they pin do not move with the sampler's streams:
+# (anchor, direction).  Each is the one line `verify_c_convexity` drew for
+# a seed: 915742375 for the cusp line, the keys for the sliver lines.
+_CUSP_LINE = (
+    np.array([0.6899559631945803 - 0.4270123387551005j, 0.19972356621486664 + 0.29366741457235634j]),
+    np.array([0.41922683363759256 - 0.6569635056931028j, 0.6262050015400905 - 0.022696039121444245j]),
+)
+_SLIVER_LINES = {
+    1127112162: (
+        np.array([0.1572738296288151 + 0.2291584882675446j, 0.3121563442056522 + 0.1101395809237018j]),
+        np.array([-0.0987571136398435 - 0.39014494821970225j, 0.7335772182444126 + 0.5476298172643291j]),
+    ),
+    1551976275: (
+        np.array([0.8069756551665661 + 0.37286436059856287j, 0.15363646048641766 - 0.3145457585302427j]),
+        np.array([0.005137033853744695 + 0.2871288267144139j, -0.4700949878727603 - 0.8345905284207933j]),
+    ),
+    1689036249: (
+        np.array([0.522678565999035 - 0.47228655748651605j, 0.2721355959980485 + 0.24609283912875557j]),
+        np.array([0.14043987140011005 + 0.019606123777883767j, 0.9898018579573193 + 0.01358397643421347j]),
+    ),
+    1059804485: (
+        np.array([0.035350243201411446 - 0.12195090405243492j, 0.922537945484295 + 0.26215280521186757j]),
+        np.array([-0.27533104715393764 - 0.7834470526245818j, 0.017118652847598694 - 0.5568756431481408j]),
+    ),
+}
+
+
 def test_cusp_tip_outside_the_probed_window_is_rasterized(triangle):
     # the 256 px content probe misses a cusp tip on this line, so the 512 px
     # raster touches the fitted window; the window must widen to take it in
-    report = verify_c_convexity(triangle, n_lines=1, resolution=512,
-                                stability_factor=2, seed=915742375)
-    assert report.samples_run == 1
-    assert report.passed, report.violations
+    violations, _ = _check_line(Tube(triangle), *_CUSP_LINE, 512, 2, None)
+    assert violations == []
 
 
-@pytest.mark.parametrize("seed", [1127112162, 1551976275, 1689036249, 1059804485])
+@pytest.mark.parametrize("seed", list(_SLIVER_LINES))
 def test_sliver_fragments_are_joined(triangle, seed):
     # a sliver thinner than a pixel (toward a cusp tip; on the last line the
     # whole region) rasters as a string of fragments that one dilation
     # step does not bridge
-    report = verify_c_convexity(triangle, n_lines=1, resolution=512,
-                                stability_factor=2, seed=seed)
-    assert report.passed, report.violations
-    assert report.details["bridged_lines"] >= 1
+    violations, bridged = _check_line(Tube(triangle), *_SLIVER_LINES[seed], 512, 2, None)
+    assert violations == []
+    assert bridged >= 1
 
 
 def test_fragments_join_keeps_a_cut_region_apart(triangle):
     tube = Tube(triangle)
-    rng = np.random.default_rng(np.random.SeedSequence([1689036249]))
-    anchor, direction, _ = _random_line(tube, rng)
+    anchor, direction = _SLIVER_LINES[1689036249]
     window = _content_window(tube, anchor, direction)
     raster = rasterize_line(tube, anchor, direction, resolution=512, window=window)
     assert connectivity_counts(raster.bitmap)[0] > 1
@@ -183,6 +208,14 @@ def test_c_convexity_punctured_fails(triangle):
     )
     assert not report.passed
     assert any("holes" in v for v in report.violations)
+
+
+def test_punctured_control_sees_its_hole_on_every_seed(triangle):
+    # the control's lines run through the puncture, so one line is enough
+    for seed in range(10):
+        report = verify_c_convexity(triangle, n_lines=1, resolution=512, seed=seed,
+                                    puncture=(np.array([0.25, 0.25]), 0.08))
+        assert any("holes" in v for v in report.violations), seed
 
 
 def test_duality_identity_square(square):
