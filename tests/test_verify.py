@@ -9,7 +9,6 @@ from elliptic_tubes.verify import (
     _check_line,
     _content_window,
     _fragments_join,
-    _random_line,
     connectivity_counts,
     rasterize_line,
     verify_c_convexity,
