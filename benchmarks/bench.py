@@ -6,9 +6,11 @@ checkouts run the same workload and seed back to back, and the order
 alternates from pair to pair, so that a drift of the host's speed falls on
 both sides alike.  Then each checkout runs the Tier-1 suite once.
 
-    python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json
-        [--pairs 10] [--seed 1] [--seconds 30]
-        [--workloads check-suites,slice-rasters,point-queries]
+    python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
+
+The workloads and the run length are the change's ``BENCHMARK.json``'s
+(``workloads`` and ``run_seconds``); every workload gets ten pairs, with
+seeds ``seed`` to ``seed + 9``.
 
 The JSON file holds, per workload and end-to-end metric, every pair's
 values, the median and quartiles of each side and how many pairs the
@@ -30,7 +32,7 @@ import time
 import numpy as np
 import scipy
 
-WORKLOADS = ("check-suites", "slice-rasters", "point-queries")
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -93,24 +95,23 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="root of the parent checkout")
     parser.add_argument("--change", required=True, help="root of the changed checkout")
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
 
     workloads = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = perfbench(roots[side], workload, seed, args.seconds)
+                pair[side] = perfbench(roots[side], workload, seed, seconds)
             pairs.append(pair)
             ops = {side: pair[side]["metrics"]["ops_per_s"]["value"] for side in roots}
             print(f"{workload} seed {seed}: ops_per_s parent {ops['parent']:.4g} "
@@ -118,7 +119,7 @@ def main(argv=None):
         workloads[workload] = {"summary": summarize(pairs, better), "runs": pairs}
 
     result = {
-        "harness": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
+        "harness": f"perfbench/run.py --trace 0 --seconds {seconds:g}",
         "revisions": {side: revision(root) for side, root in roots.items()},
         "machine": {
             "nproc": os.cpu_count(),

@@ -214,6 +214,7 @@ def test_punctured_control_sees_its_hole_on_every_seed(triangle):
     for seed in range(10):
         report = verify_c_convexity(triangle, n_lines=1, resolution=512, seed=seed,
                                     puncture=(np.array([0.25, 0.25]), 0.08))
+        assert report.samples_run == 1, seed
         assert any("holes" in v for v in report.violations), seed
 
 
