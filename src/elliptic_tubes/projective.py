@@ -30,13 +30,27 @@ def normalize_lift(v):
     coordinate rotated onto the nonnegative real axis.
 
     Real input stays real (a sign flip); complex input is multiplied by a
-    unit phase.  Raises ValueError on the zero vector.  The one-row case of
-    :func:`normalize_lifts`.
+    unit phase.  Raises ValueError on the zero vector.
     """
-    rows = np.reshape(v, (1, -1))
-    if not rows.any():
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        v = v.astype(np.complex128)
+    else:
+        v = v.astype(np.float64)
+    norm = np.linalg.norm(v)
+    if not norm > 0.0:
         raise ValueError("the zero vector has no projective class")
-    return normalize_lifts(rows)[0]
+    v = v / norm
+    mags = np.abs(v)
+    lead = int(np.argmax(mags > _TINY * mags.max()))
+    pivot = v[lead]
+    if np.iscomplexobj(v):
+        v = v * (pivot.conjugate() / abs(pivot))
+        # kill the rounding dust in the pivot's imaginary part
+        v[lead] = v[lead].real
+    elif pivot < 0.0:
+        v = -v
+    return v
 
 
 def _dots(rows):
@@ -54,8 +68,8 @@ def row_norms(rows):
 
 
 def normalize_lifts(rows):
-    """:func:`normalize_lift` of every row of a (B, k) array; a zero row
-    gives NaNs."""
+    """:func:`normalize_lift` of every row of a (B, k) array, each row
+    rounded as the one-row call rounds it; a zero row gives NaNs."""
     rows = np.array(rows, dtype=np.complex128 if np.iscomplexobj(rows) else np.float64)
     rows = rows / row_norms(rows)[:, None]
     mags = np.abs(rows)
@@ -63,8 +77,8 @@ def normalize_lifts(rows):
     at = np.arange(len(rows))
     pivot = rows[at, lead]
     if np.iscomplexobj(rows):
+        # np.hypot rounds as the scalar abs() of one pivot
         rows = rows * (pivot.conjugate() / np.hypot(pivot.real, pivot.imag))[:, None]
-        # kill the rounding dust in the pivot's imaginary part
         rows[at, lead] = rows[at, lead].real
     else:
         rows = np.where((pivot < 0.0)[:, None], -rows, rows)
@@ -302,16 +316,19 @@ class Chart:
 
     def to_chart(self, p, tol=1e-12):
         """Chart coordinates of a point; InfinityError on the chart's
-        hyperplane at infinity.  The one-row case of :meth:`to_chart_rows`."""
-        coords, finite = self.to_chart_rows(_lift_of(p)[None], tol)
-        if not finite[0]:
+        hyperplane at infinity."""
+        lift = _lift_of(p)
+        h = self.infinity(lift)
+        scale = np.linalg.norm(self.matrix[-1]) * np.linalg.norm(lift)
+        if abs(h) <= tol * scale:
             raise InfinityError("point lies at infinity in this chart")
-        return coords[0]
+        return self.basis_values(lift) / h
 
     def to_chart_rows(self, lifts, tol=1e-12):
-        """Chart coordinates of every row of a (B, n+1) lift array:
-        ``(coords, finite)``, where ``finite`` is false (and the coordinates
-        undefined) for the rows on the chart's hyperplane at infinity."""
+        """:meth:`to_chart` of every row of a (B, n+1) lift array, each row
+        rounded as the one-point call rounds it: ``(coords, finite)``, where
+        ``finite`` is false (and the coordinates undefined) for the rows on
+        which :meth:`to_chart` raises InfinityError."""
         h = (self.matrix[-1] @ lifts[:, :, None])[:, 0]
         scale = np.linalg.norm(self.matrix[-1]) * row_norms(lifts)
         finite = np.abs(h) > tol * scale

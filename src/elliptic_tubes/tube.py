@@ -139,29 +139,31 @@ class Tube:
     # membership
 
     def contains(self, z):
-        """Slice-route membership: clip the trace line, test the disk.  The
-        one-row case of :meth:`contains_rows`; a point at chart infinity
-        lies outside."""
-        zeta = self.chart_complex(z)
-        return zeta is not None and bool(self.contains_rows(zeta[None])[0])
+        """Slice-route membership: clip the trace line, test the disk."""
+        parts = self._split(z)
+        if parts is None:
+            return False
+        x, y, real_flag = parts
+        if real_flag:
+            return self.base.contains(x)
+        speed, a, b, ok = self._trace_clips(x[None], y[None])
+        return bool(ok[0] and _in_disk(speed[0], a[0], b[0]))
 
     def contains_rows(self, zeta):
-        """Membership of every row of a (B, n) complex chart array: the
-        reality band of :meth:`_split`, then the base test for real rows
-        and the trace-line clip and disk test for the others."""
+        """:meth:`contains` of every row of a (B, n) complex chart array:
+        the reality band of :meth:`_split`, then the base test for real
+        rows and the slice test for the others, each row rounded as the
+        one-point call rounds it."""
         zeta = np.asarray(zeta, dtype=np.complex128)
         x = np.ascontiguousarray(zeta.real)
         y = np.ascontiguousarray(zeta.imag)
         real = _real_rows(x, y)
-        if real.all():
-            return self.base.contains_rows(x)
-        if real.any():
-            inside = np.empty(len(zeta), dtype=bool)
-            inside[real] = self.base.contains_rows(x[real])
-            inside[~real] = self.contains_rows(zeta[~real])
-            return inside
-        speed, a, b, ok = self._trace_clips(x, y)
-        return ok & _in_disk(speed, a, b)
+        inside = np.empty(len(zeta), dtype=bool)
+        inside[real] = self.base.contains_rows(x[real])
+        if not real.all():
+            speed, a, b, ok = self._trace_clips(x[~real], y[~real])
+            inside[~real] = ok & _in_disk(speed, a, b)
+        return inside
 
     def contains_pairwise(self, z):
         """Functional-route membership for H-domain bases:
