@@ -4,7 +4,8 @@ Each checkout runs its own ``perfbench/run.py`` (``--trace 0``) from its
 root, in a fresh interpreter.  The runs come in pairs, one per seed: both
 checkouts run the same workload and seed back to back, and the order
 alternates from pair to pair, so that a drift of the host's speed falls on
-both sides alike.  Then each checkout runs the Tier-1 suite once.
+both sides alike.  Then each checkout runs the Tier-1 suite once, and the
+acceptance suite once more to time each criterion.
 
     python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
 
@@ -15,8 +16,10 @@ seeds ``seed`` to ``seed + 9``.
 The JSON file holds, per workload and end-to-end metric, every pair's
 values, the median and quartiles of each side and how many pairs the
 change won (the direction comes from the change's ``BENCHMARK.json``);
-the Tier-1 wall time and pass counts of each side; and the machine: the
-number of CPUs and the Python, NumPy and SciPy versions.
+the Tier-1 wall time and pass counts of each side; each acceptance
+criterion's wall time on each side (the call phase, from ``pytest
+--durations=0 tests/test_acceptance.py``); and the machine: the number of
+CPUs and the Python, NumPy and SciPy versions.
 """
 
 import argparse
@@ -35,6 +38,7 @@ import scipy
 PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+CRITERIA = TIER1 + ["--durations=0", "--durations-min=0", "tests/test_acceptance.py"]
 
 
 def revision(root):
@@ -54,17 +58,28 @@ def perfbench(root, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def pytest(root, cmd):
+    """One pytest run in ``root`` on its own ``src/``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
+
+
 def tier1(root):
     """Wall seconds and the summary line of one Tier-1 run in ``root``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True,
-                          check=False)
+    proc = pytest(root, TIER1)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     counts = {kind: int(num) for num, kind in
               re.findall(r"(\d+) (passed|failed|skipped|errors?)", lines[-1] if lines else "")}
     return {"wall_s": wall, "exit": proc.returncode, **counts}
+
+
+def criterion_walls(root):
+    """Each acceptance criterion's call time in seconds, by test name."""
+    out = pytest(root, CRITERIA).stdout
+    return {name: float(sec) for sec, name in
+            re.findall(r"([\d.]+)s call +tests/test_acceptance\.py::(\w+)", out)}
 
 
 def spread(values):
@@ -130,6 +145,7 @@ def main(argv=None):
         },
         "workloads": workloads,
         "tier1": {side: tier1(root) for side, root in roots.items()},
+        "criterion_walls_s": {side: criterion_walls(root) for side, root in roots.items()},
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -139,6 +155,10 @@ def main(argv=None):
             print(f"{workload:<14} {name:<12} parent {s['parent']['median']:<10.4g} "
                   f"change {s['change']['median']:<10.4g} wins {s['change_wins']}/{s['pairs']}")
     print("tier1 " + json.dumps(result["tier1"]))
+    walls = result["criterion_walls_s"]
+    for name in sorted(walls["change"]):
+        print(f"{name:<50} parent {walls['parent'].get(name, float('nan')):<8.3g} "
+              f"change {walls['change'][name]:.3g}")
     return 0
 
 

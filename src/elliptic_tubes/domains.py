@@ -18,13 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CollinearityError,
     DegenerateError,
     DrawBudgetError,
     NotInteriorError,
     ValidationError,
     ZeroDirectionError,
 )
-from .projective import Chart, Functional, HPoint, RealLine, cross_ratio
+from .projective import (
+    Chart,
+    Functional,
+    HPoint,
+    RealLine,
+    cross_ratio_rows,
+    normalize_lifts,
+    row_norms,
+)
 from .report import VerifierReport
 
 _PARALLEL_TOL = 1e-13
@@ -450,20 +459,33 @@ class ConvexDomain:
 
     def hilbert_distance(self, x, y):
         """Hilbert distance, half the log of the boundary cross ratio."""
-        x = np.real(self.chart_point(x))
-        y = np.real(self.chart_point(y))
-        if not self.contains(x) or not self.contains(y):
+        x = np.asarray(np.real(self.chart_point(x)), dtype=np.float64)
+        y = np.asarray(np.real(self.chart_point(y)), dtype=np.float64)
+        return float(self.hilbert_distance_rows(x[None], y[None])[0])
+
+    def hilbert_distance_rows(self, x, y):
+        """:meth:`hilbert_distance` of the paired rows of two (B, n) chart
+        arrays, each row rounded as the one-pair call rounds it."""
+        if not (self.contains_rows(x).all() and self.contains_rows(y).all()):
             raise NotInteriorError("hilbert distance needs interior points")
-        sep = np.linalg.norm(y - x)
-        if sep < 1e-15:
-            return 0.0
-        direction = (y - x) / sep
-        clip = self._clip_ab((x, direction))
-        if clip is None:
+        sep, direction = self._pair_directions(x, y)
+        a, b, ok = self.clip_lines(x, direction)
+        if not ok.all():
             raise DegenerateError("interior points produced an empty clip")
-        a, b = clip
         value = ((a - sep) * b) / (a * (b - sep))
-        return 0.5 * float(np.log(value))
+        return np.where(sep < 1e-15, 0.0, 0.5 * np.log(value))
+
+    def _pair_directions(self, x, y):
+        """``(sep, direction)`` for the paired rows of two (B, n) chart
+        arrays: ``|y - x|`` and ``(y - x) / sep`` normalized once more, as
+        :meth:`line_clip` normalizes any direction.  Rows with
+        ``sep < 1e-15`` get the first coordinate axis."""
+        delta = y - x
+        sep = row_norms(delta)
+        same = sep < 1e-15
+        delta[same] = np.eye(self.n)[0]
+        direction = delta / np.where(same, 1.0, sep)[:, None]
+        return sep, direction / row_norms(direction)[:, None]
 
     def finsler_norm(self, x, w):
         """Infinitesimal Hilbert norm of a chart tangent vector at x."""
@@ -480,20 +502,27 @@ class ConvexDomain:
     def cross_ratio_check(self, x, y):
         """Hilbert distance recomputed through the projective cross ratio
         of the actual boundary points (diagnostic second route)."""
-        x = np.real(self.chart_point(x))
-        y = np.real(self.chart_point(y))
-        sep = np.linalg.norm(y - x)
-        if sep < 1e-15:
-            return 0.0
-        clip = self.line_clip((x, (y - x) / sep))
-        pa, pb = clip.endpoint_points()
-        cr = cross_ratio(
-            self.chart.hpoint(pa),
-            self.chart.hpoint(x),
-            self.chart.hpoint(y),
-            self.chart.hpoint(pb),
-        )
-        return 0.5 * float(np.log(cr))
+        x = np.asarray(np.real(self.chart_point(x)), dtype=np.float64)
+        y = np.asarray(np.real(self.chart_point(y)), dtype=np.float64)
+        return float(self.cross_ratio_rows(x[None], y[None])[0])
+
+    def cross_ratio_rows(self, x, y):
+        """:meth:`cross_ratio_check` of the paired rows of two (B, n) chart
+        arrays, each row rounded as the one-pair call rounds it."""
+        sep, direction = self._pair_directions(x, y)
+        a, b, ok = self.clip_lines(x, direction)
+        if not ok.all():
+            raise DegenerateError("interior points produced an empty clip")
+        points = np.stack([x + a[:, None] * direction, x, y, x + b[:, None] * direction], axis=1)
+        lifts = normalize_lifts(_rowdot(self.chart.inverse, _affine(points.reshape(-1, self.n))))
+        value, collinear, degenerate = cross_ratio_rows(
+            lifts.reshape(len(x), 4, self.n + 1).astype(np.complex128))
+        if not collinear.all():
+            raise CollinearityError("cross ratio needs four collinear points")
+        if degenerate.any():
+            raise DegenerateError("cross ratio degenerates (coincident points)")
+        # four real collinear points: the imaginary part is rounding dust
+        return np.where(sep < 1e-15, 0.0, 0.5 * np.log(value.real))
 
     # ------------------------------------------------------------------
     # constructions

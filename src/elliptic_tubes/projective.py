@@ -437,23 +437,46 @@ def cross_ratio(a, x, y, b, tol=1e-9):
     independent.
     """
     lifts = np.vstack([_lift_of(p).astype(np.complex128) for p in (a, x, y, b)])
-    u, sv, vh = np.linalg.svd(lifts)
-    if lifts.shape[1] > 2 and sv[2] > tol * sv[0]:
+    value, collinear, degenerate = cross_ratio_rows(lifts[None], tol)
+    if not collinear[0]:
         raise CollinearityError("cross ratio needs four collinear points")
-    coords = lifts @ vh[:2].conj().T  # 4 x 2 coordinates in the span basis
-
-    def det(i, j):
-        return coords[i, 0] * coords[j, 1] - coords[i, 1] * coords[j, 0]
-
-    num = det(0, 2) * det(3, 1)
-    den = det(0, 1) * det(3, 2)
-    scale = np.max(np.abs(coords)) ** 4
-    if abs(den) <= 1e-14 * scale or abs(num) <= 1e-14 * scale:
+    if degenerate[0]:
         raise DegenerateError("cross ratio degenerates (coincident points)")
-    value = num / den
+    value = value[0]
     if abs(value.imag) <= 1e-9 * abs(value):
         return float(value.real)
     return complex(value)
+
+
+def _cmul(p, q):
+    """``p * q`` of complex arrays, rounded as NumPy's complex scalars round
+    it (the array loop fuses its multiply-adds and rounds differently)."""
+    out = np.empty(np.broadcast(p, q).shape, dtype=np.complex128)
+    out.real = p.real * q.real - p.imag * q.imag
+    out.imag = p.real * q.imag + p.imag * q.real
+    return out
+
+
+def cross_ratio_rows(lifts, tol=1e-9):
+    """:func:`cross_ratio` of every (4, k) complex lift stack of a (B, 4, k)
+    array, each rounded as the one-stack call: ``(values, collinear,
+    degenerate)``, where the values are complex and undefined on the stacks
+    that are not collinear or are degenerate."""
+    _, sv, vh = np.linalg.svd(lifts)
+    collinear = sv[:, 2] <= tol * sv[:, 0] if lifts.shape[2] > 2 else np.ones(len(lifts), bool)
+    coords = lifts @ vh[:, :2].conj().transpose(0, 2, 1)  # coordinates in the span basis
+
+    def det(i, j):
+        return (_cmul(coords[:, i, 0], coords[:, j, 1])
+                - _cmul(coords[:, i, 1], coords[:, j, 0]))
+
+    num = _cmul(det(0, 2), det(3, 1))
+    den = _cmul(det(0, 1), det(3, 2))
+    scale = np.hypot(coords.real, coords.imag).max(axis=(1, 2)) ** 4
+    degenerate = ((np.hypot(den.real, den.imag) <= 1e-14 * scale)
+                  | (np.hypot(num.real, num.imag) <= 1e-14 * scale))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, collinear, degenerate
 
 
 def line_chart(line, tol=1e-9):

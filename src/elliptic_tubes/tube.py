@@ -332,18 +332,35 @@ class Tube:
         xz, yz, z_real = zz
         xw, yw, w_real = ww
         if z_real and w_real:
-            if not (self.base.contains(xz) and self.base.contains(xw)):
-                raise NotInteriorError("real points must lie inside the base")
-            sep = np.linalg.norm(xw - xz)
-            if sep < 1e-15:
-                return 0.0
-            disk = self.slice_on_line(xz, (xw - xz) / sep)
-            return disk.poincare(0.0, sep)
+            return float(self.real_pair_distances(xz[None], xw[None])[0])
         anchor = z if not z_real else w
         disk = self.slice_disk(anchor)
         tau_z = disk.coord(self.chart_complex(z))
         tau_w = disk.coord(self.chart_complex(w))
         return disk.poincare(tau_z, tau_w)
+
+    def real_pair_distances(self, x, y):
+        """:meth:`kobayashi_supported` of the paired rows of two (B, n) real
+        chart arrays, each row rounded as the one-pair call rounds it: the
+        Poincare distance of the line coordinates 0 and ``|y - x|`` in the
+        slice over the real line through x and y."""
+        if not (self.base.contains_rows(x).all() and self.base.contains_rows(y).all()):
+            raise NotInteriorError("real points must lie inside the base")
+        sep, direction = self.base._pair_directions(x, y)
+        # normalized once more, as slice_on_line normalizes before clipping
+        a, b, ok = self.base.clip_lines(x, direction / row_norms(direction)[:, None])
+        if not ok.all():
+            raise EmptySliceError("the line does not meet the base domain")
+        # SliceDisk.to_unit_disk of the two line coordinates
+        m_x = -(a + b) / (b - a)
+        m_y = (2.0 * sep - (a + b)) / (b - a)
+        num = np.abs(m_x - m_y)
+        den = np.abs(1.0 - m_x * m_y)
+        if np.any(num >= den):
+            raise OutsideTubeError("both points must lie inside the slice")
+        # math.atanh, as poincare_distance takes it: np.arctanh rounds differently
+        dist = np.array([math.atanh(r) for r in num / den])
+        return np.where(sep < 1e-15, 0.0, dist)
 
     # ------------------------------------------------------------------
     # boxes and samplers

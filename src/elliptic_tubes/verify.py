@@ -20,7 +20,7 @@ from . import _kernels
 from .domains import ConvexDomain, HDomain
 from .duality import _violating_pair, dual_tube, tube_separator
 from .errors import RepresentationError, ZeroDirectionError
-from .projective import Functional, HPoint, pushforward
+from .projective import Functional, HPoint, normalize_lifts, pushforward, row_norms
 from .quotients import _preserves
 from .report import VerifierReport
 from .tangent import TangentVector, from_tangent, to_tangent
@@ -504,18 +504,22 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
         details={"slack": slack, "dual_rep": type(dual_t.base.rep).__name__},
     )
     half = n_samples // 2
-    # dual tube members: kernels avoid the tube
+    # dual tube members: kernels avoid the tube.  Each member's kernel is
+    # probed at 8 points, all drawn in one call: the stream of drawing the
+    # real and imaginary coefficients point by point, member by member
     etas = dual_t.sample_points(rng, half)
-    for eta in etas:
-        report.samples_run += 1
-        xi = dual_t.chart.inverse @ np.append(eta, 1.0)
-        basis = null_space(xi[None, :])
-        for _ in range(8):
-            coeff = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
-            point = HPoint(basis @ coeff)
-            if tube.contains(point):
-                report.record(f"kernel of a dual tube member {eta} meets the tube")
-                break
+    report.samples_run += half
+    xis = dual_t.chart.inverse @ np.column_stack([etas, np.ones(half)])[:, :, None]
+    # the null space of a nonzero row: the last n right singular vectors
+    basis = np.linalg.svd(xis.transpose(0, 2, 1))[2][:, 1:].conj().transpose(0, 2, 1)
+    draws = rng.normal(size=(half, 8, 2, tube.n))
+    coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
+    lifts = normalize_lifts((basis[:, None] @ coeffs[..., None]).reshape(8 * half, tube.n + 1))
+    zeta, finite = tube.chart.to_chart_rows(lifts)
+    inside = np.zeros(8 * half, dtype=bool)  # chart infinity is outside
+    inside[finite] = tube.contains_rows(zeta[finite])
+    for eta in etas[inside.reshape(half, 8).any(axis=1)]:
+        report.record(f"kernel of a dual tube member {eta} meets the tube")
     # exterior separators: in the closed dual tube, vanishing at the point
     try:
         hdom = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
@@ -549,6 +553,74 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
 # metric consistency
 
 
+_UNIT_ROUNDOFF = 0.5 * np.finfo(np.float64).eps
+# the first-order rounding constants of both routes, 48 and 28 (see
+# _route_conditions), rounded up with room to spare
+_ROUTE_SLACK = 64.0
+
+
+def _route_conditions(domain: ConvexDomain, x, y):
+    """Condition numbers ``(kappa_p, kappa_c)`` of the two routes that
+    :func:`verify_metric_consistency` compares with the Hilbert distance h
+    of each real pair x, y: each route differs from h by at most about
+    ``c u kappa`` through rounding, with c below 64 and u the unit
+    roundoff.
+
+    Let (a, b) be the clip of the line ``x + t (y - x) / s``, s = |y - x|,
+    so a < 0 < s < b, and L = b - a.  The Hilbert and cross-ratio routes
+    clip the same line; the tube route normalizes the direction once more.
+
+    * Hilbert route: ``h = log(((a - s) b) / (a (b - s))) / 2`` is a
+      product of four differences of exact inputs, so its own error is a
+      few u (with ``u h`` for the logarithm), inside ``tol``.
+    * Tube route: the unit-disk coordinates ``m = -1 + 2 (t - a) / L``
+      of t = 0 and t = s carry absolute errors of at most 3u and 4u, so
+      ``num = |m_x - m_y|`` and ``den = |1 - m_x m_y|`` carry at most 9u
+      and 10u, and ``d = log((den + num) / (den - num)) / 2`` moves by at
+      most ``19 u den / (den^2 - num^2) <= 38 u P``, where
+      ``den^2 - num^2 = (1 - m_x^2)(1 - m_y^2)`` and
+
+          P = 1 / ((1 - m_x^2)(1 - m_y^2)) = L^4 / (16 (-a) b (s - a) (b - s)),
+
+      which is ``cosh(d)^2 / den^2``: about ``cosh(d)^2`` for points on
+      opposite sides of the slice centre, and larger when both sit near
+      one end.  At d = 9.5 it is about 1e7, so rounding alone moves the
+      route by about 1e-9.  Rounding ``num / den`` adds ``4 u P``.  Its
+      direction differs from the Hilbert route's by a rescaling of at
+      most 2u, which moves h by at most ``u s (1/(s - a) + 1/(b - s)) <=
+      5 u P``, and a rotation of at most u.  A rotation by θ slides the
+      clip end b by ``θ b tan(φ)``, φ the angle between the line and the
+      boundary's normal there; as y lies at least its margin from the
+      tangent plane, ``tan(φ) <= (b - s) / margin(y)``, and h moves by at
+      most ``θ s / (2 margin(y))``, and likewise at a.  So
+
+          kappa_p = P + s (1 / margin(x) + 1 / margin(y))
+
+      with a constant of 38 + 4 + 5 + 1 = 48.
+    * Cross-ratio route: it rebuilds the boundary points ``x + a dir`` and
+      ``x + b dir`` and lifts all four points through the chart.  A point
+      p moves by ``u |p|``, and its normalized lift by a few u; the 2 x 2
+      determinant of two lifts is ``|t_i - t_j|`` times a factor of at
+      least ``1 / (cond(M)^2 N_i N_j)``, with N = |(p, 1)| <= S = 1 + |x|
+      + L and M the chart matrix.  Each of the four determinants thus has
+      relative error at most ``7 u cond(M)^2 S^2 / |t_i - t_j|``, and the
+      gaps -a <= s - a and b - s <= b bound them, so
+
+          kappa_c = cond(M)^2 S^2 (1 / (-a) + 1 / (b - s))
+
+      with a constant of 4 * 7 = 28.  It grows as the clip's length over
+      its smallest boundary gap.
+    """
+    sep, direction = domain._pair_directions(x, y)
+    a, b, _ = domain.clip_lines(x, direction)
+    length = b - a
+    kappa_p = (length ** 4 / (16.0 * -a * b * (sep - a) * (b - sep))
+               + sep * (1.0 / domain.margin_rows(x) + 1.0 / domain.margin_rows(y)))
+    scale = np.linalg.cond(domain.chart.matrix) * (1.0 + row_norms(x) + length)
+    kappa_c = scale ** 2 * (1.0 / -a + 1.0 / (b - sep))
+    return kappa_p, kappa_c
+
+
 def verify_metric_consistency(domain: ConvexDomain, n_pairs=300, seed=0,
                               tol=1e-10) -> VerifierReport:
     """The Hilbert metric of the base agrees with the slice metric of the
@@ -558,6 +630,11 @@ def verify_metric_consistency(domain: ConvexDomain, n_pairs=300, seed=0,
     two-point tube distance for real pairs; the cross-ratio route equals
     the endpoint-gauge route; the boundary angle satisfies
     ``u = 2 arctan(tanh d)`` against the core distance.
+
+    A real pair's routes differ by ``err = |h - route| / max(1, h)``, and
+    the pair fails when ``err max(1, h) >= tol max(1, h) + c u kappa``, with
+    u the unit roundoff and kappa the route's condition number
+    (:func:`_route_conditions`); the report shows ``err`` itself.
     """
     tube = Tube(domain)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -568,23 +645,24 @@ def verify_metric_consistency(domain: ConvexDomain, n_pairs=300, seed=0,
         details={"pairs": n_pairs},
     )
     pts = domain.sample_interior(rng, 2 * n_pairs)
-    for k in range(n_pairs):
-        x, y = pts[2 * k], pts[2 * k + 1]
-        if np.linalg.norm(x - y) < 1e-10:
-            report.skipped += 1
-            continue
-        report.samples_run += 1
-        h = domain.hilbert_distance(x, y)
-        k_dist = tube.kobayashi_supported(x, y)
-        err = abs(h - k_dist) / max(1.0, h)
-        report.observe(err)
-        if err >= tol:
-            report.record(f"hilbert vs tube distance differ at {x}, {y}", err)
-        cr = domain.cross_ratio_check(x, y)
-        err2 = abs(cr - h) / max(1.0, h)
-        report.observe(err2)
-        if err2 >= tol:
-            report.record(f"cross-ratio route differs at {x}, {y}", err2)
+    x, y = pts[0::2], pts[1::2]
+    apart = row_norms(x - y) >= 1e-10
+    report.skipped += n_pairs - int(apart.sum())
+    x, y = x[apart], y[apart]
+    report.samples_run += len(x)
+    h = domain.hilbert_distance_rows(x, y)
+    scale = np.maximum(1.0, h)
+    kappa_p, kappa_c = _route_conditions(domain, x, y)
+    routes = (
+        ("hilbert vs tube distance differ", tube.real_pair_distances(x, y), kappa_p),
+        ("cross-ratio route differs", domain.cross_ratio_rows(x, y), kappa_c),
+    )
+    for i in range(len(x)):
+        for message, values, kappa in routes:
+            diff = abs(values[i] - h[i])
+            report.observe(diff / scale[i])
+            if diff >= tol * scale[i] + _ROUTE_SLACK * _UNIT_ROUNDOFF * kappa[i]:
+                report.record(f"{message} at {x[i]}, {y[i]}", diff / scale[i])
     # boundary angle vs core distance on non-real points
     zs = tube.sample_points(rng, max(1, n_pairs // 3))
     for z in zs:
@@ -733,28 +811,19 @@ def verify_exhaustion_monotone(domain: ConvexDomain, deltas=(0.6, 0.4, 0.2),
     stages = [Tube(domain.scaled_copy(d)) for d in deltas] + [tube]
     for i, small in enumerate(stages[:-1]):
         samples = small.sample_points(rng, n_samples // max(1, len(stages) - 1))
-        for z in samples:
-            report.samples_run += 1
-            for big in stages[i + 1:]:
-                if not big.contains(z):
-                    report.record(
-                        f"stage {i} sample {z} escapes a larger stage"
-                    )
-                    break
-    absorbed = [0] * len(deltas)
-    unabsorbed = 0
-    for z in tube.sample_points(rng, n_samples // 2):
-        report.samples_run += 1
-        hit = None
-        for idx in range(len(deltas) - 1, -1, -1):
-            # smallest delta = largest stage domain is checked first
-            if stages[idx].contains(z):
-                hit = idx
-        if hit is None:
-            unabsorbed += 1
-        else:
-            absorbed[hit] += 1
+        report.samples_run += len(samples)
+        inside = np.column_stack([big.contains_rows(samples) for big in stages[i + 1:]])
+        for z in samples[~inside.all(axis=1)]:
+            report.record(f"stage {i} sample {z} escapes a larger stage")
+    zs = tube.sample_points(rng, n_samples // 2)
+    report.samples_run += len(zs)
+    # each sample counts at the smallest stage (largest delta) holding it;
+    # index len(deltas) collects the samples no stage holds
+    hit = np.full(len(zs), len(deltas))
+    for idx in range(len(deltas) - 1, -1, -1):
+        hit[stages[idx].contains_rows(zs)] = idx
+    counts = np.bincount(hit, minlength=len(deltas) + 1)
     for idx, d in enumerate(deltas):
-        report.details[f"absorbed_at_{format(d, '.3g')}"] = absorbed[idx]
-    report.details["unabsorbed"] = unabsorbed
+        report.details[f"absorbed_at_{format(d, '.3g')}"] = int(counts[idx])
+    report.details["unabsorbed"] = int(counts[-1])
     return report

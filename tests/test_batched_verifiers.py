@@ -1,0 +1,379 @@
+"""The batched verifiers against the per-sample loops they replaced.
+
+``_reference_*`` are the loops of `verify_duality_identity` (its kernel
+half), `verify_exhaustion_monotone` and `verify_metric_consistency` (its
+real-pair half) as they were before their samples were checked in row
+batches; ``_reference_routes`` are the one-pair bodies of the three metric
+routes.  The reports must agree to the byte, violations in the same order.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import null_space
+
+from elliptic_tubes import catalog, verify
+from elliptic_tubes.cli import main
+from elliptic_tubes.diskgeom import poincare_distance
+from elliptic_tubes.domains import ConvexDomain, HDomain
+from elliptic_tubes.domspec import load_domain
+from elliptic_tubes.duality import dual_tube, tube_separator
+from elliptic_tubes.projective import HPoint, ProjectiveMap, row_norms
+from elliptic_tubes.report import VerifierReport
+from elliptic_tubes.tube import Tube
+from elliptic_tubes.verify import (
+    _ROUTE_SLACK,
+    _UNIT_ROUNDOFF,
+    _route_conditions,
+    verify_duality_identity,
+    verify_exhaustion_monotone,
+    verify_metric_consistency,
+)
+
+BENCH_DOMAINS = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _domain(name):
+    if name in ("cube3", "simplex4"):
+        return load_domain(str(BENCH_DOMAINS / f"{name}.dom")).domain
+    return catalog.by_name(name)
+
+
+# (domain, samples): the 3-cube's dual and the 4-simplex sample slowly
+_CASES = [(name, 40) for name in catalog.names()] + [("cube3", 6), ("simplex4", 4)]
+
+
+def _reference_duality(domain, n_samples=200, seed=0, slack=1e-9, tol=1e-10):
+    tube = Tube(domain)
+    dual_t, _ = verify.dual_tube(domain)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    report = VerifierReport(
+        name="duality_identity",
+        tolerance=tol,
+        seed=seed,
+        details={"slack": slack, "dual_rep": type(dual_t.base.rep).__name__},
+    )
+    half = n_samples // 2
+    etas = dual_t.sample_points(rng, half)
+    for eta in etas:
+        report.samples_run += 1
+        xi = dual_t.chart.inverse @ np.append(eta, 1.0)
+        basis = null_space(xi[None, :])
+        for _ in range(8):
+            coeff = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+            point = HPoint(basis @ coeff)
+            if tube.contains(point):
+                report.record(f"kernel of a dual tube member {eta} meets the tube")
+                break
+    try:
+        hdom = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
+    except Exception:
+        hdom = None
+    if hdom is None:
+        report.skipped += half
+        report.details["separator_direction"] = "skipped (no functional family)"
+        return report
+    for z in Tube(hdom).sample_exterior(rng, half):
+        report.samples_run += 1
+        xi = tube_separator(hdom, z)
+        lift = hdom.chart.inverse @ np.append(z, 1.0)
+        value = abs(xi(lift)) / (np.linalg.norm(xi.coeffs) * np.linalg.norm(lift))
+        report.observe(value)
+        if value >= tol:
+            report.record(f"separator fails to vanish at {z}", value)
+        h = dual_t.chart.infinity(xi.coeffs)
+        if abs(h) <= 1e-12 * np.linalg.norm(xi.coeffs):
+            report.record(f"separator at {z} lies at dual chart infinity")
+            continue
+        eta = dual_t.chart.basis_values(xi.coeffs) / h
+        defect = dual_t.violation(eta)
+        report.observe(max(defect, 0.0))
+        if defect > slack:
+            report.record(f"separator at {z} leaves the closed dual tube ({defect:.3e})", defect)
+    return report
+
+
+def _reference_exhaustion(domain, deltas=(0.6, 0.4, 0.2), n_samples=200, seed=0):
+    deltas = tuple(sorted(deltas, reverse=True))
+    tube = Tube(domain)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    report = VerifierReport(
+        name="exhaustion",
+        tolerance=0.0,
+        seed=seed,
+        details={"deltas": ", ".join(format(d, ".3g") for d in deltas)},
+    )
+    stages = [Tube(domain.scaled_copy(d)) for d in deltas] + [tube]
+    for i, small in enumerate(stages[:-1]):
+        samples = small.sample_points(rng, n_samples // max(1, len(stages) - 1))
+        for z in samples:
+            report.samples_run += 1
+            for big in stages[i + 1:]:
+                if not big.contains(z):
+                    report.record(f"stage {i} sample {z} escapes a larger stage")
+                    break
+    absorbed = [0] * len(deltas)
+    unabsorbed = 0
+    for z in tube.sample_points(rng, n_samples // 2):
+        report.samples_run += 1
+        hit = None
+        for idx in range(len(deltas) - 1, -1, -1):
+            if stages[idx].contains(z):
+                hit = idx
+        if hit is None:
+            unabsorbed += 1
+        else:
+            absorbed[hit] += 1
+    for idx, d in enumerate(deltas):
+        report.details[f"absorbed_at_{format(d, '.3g')}"] = absorbed[idx]
+    report.details["unabsorbed"] = unabsorbed
+    return report
+
+
+def _reference_metric(domain, n_pairs=300, seed=0, tol=1e-10):
+    """The per-pair loop with its old acceptance ``err < tol``."""
+    tube = Tube(domain)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    report = VerifierReport(
+        name="metric_consistency", tolerance=tol, seed=seed, details={"pairs": n_pairs},
+    )
+    pts = domain.sample_interior(rng, 2 * n_pairs)
+    for k in range(n_pairs):
+        x, y = pts[2 * k], pts[2 * k + 1]
+        if np.linalg.norm(x - y) < 1e-10:
+            report.skipped += 1
+            continue
+        report.samples_run += 1
+        h = domain.hilbert_distance(x, y)
+        k_dist = tube.kobayashi_supported(x, y)
+        err = abs(h - k_dist) / max(1.0, h)
+        report.observe(err)
+        if err >= tol:
+            report.record(f"hilbert vs tube distance differ at {x}, {y}", err)
+        cr = domain.cross_ratio_check(x, y)
+        err2 = abs(cr - h) / max(1.0, h)
+        report.observe(err2)
+        if err2 >= tol:
+            report.record(f"cross-ratio route differs at {x}, {y}", err2)
+    zs = tube.sample_points(rng, max(1, n_pairs // 3))
+    for z in zs:
+        if np.linalg.norm(z.imag) < 1e-9:
+            report.skipped += 1
+            continue
+        report.samples_run += 1
+        u = tube.u_value(z)
+        d, _ = tube.core_distance(z)
+        err = abs(u - 2.0 * np.arctan(np.tanh(d)))
+        report.observe(err)
+        if err >= max(tol, 1e-9):
+            report.record(f"angle/distance mismatch at {z}", err)
+    return report
+
+
+def _reference_routes(domain, x, y):
+    """(Hilbert, tube, cross-ratio) distance of one real pair, through the
+    one-pair bodies the row forms replaced."""
+    sep = np.linalg.norm(y - x)
+    clip = domain.line_clip((x, (y - x) / sep))
+    a, b = clip.a, clip.b
+    h = 0.5 * float(np.log(((a - sep) * b) / (a * (b - sep))))
+    # the tube route normalizes the direction once more before clipping
+    twice = domain.line_clip((x, clip.direction))
+    a2, b2 = twice.a, twice.b
+
+    def unit(tau):
+        return (2.0 * complex(tau) - (a2 + b2)) / (b2 - a2)
+
+    k_dist = poincare_distance(unit(0.0), unit(sep))
+    pa, pb = clip.endpoint_points()
+    lifts = np.vstack([domain.chart.hpoint(p).coords.astype(np.complex128)
+                       for p in (pa, x, y, pb)])
+    _, _, vh = np.linalg.svd(lifts)
+    coords = lifts @ vh[:2].conj().T
+
+    def det(i, j):
+        return coords[i, 0] * coords[j, 1] - coords[i, 1] * coords[j, 0]
+
+    cr = (det(0, 2) * det(3, 1)) / (det(0, 1) * det(3, 2))
+    return h, k_dist, 0.5 * float(np.log(float(cr.real)))
+
+
+def _pairs(domain, seed, count):
+    """Interior pairs, a third of their points pushed out along the ray
+    from the reference point to 1e-7 of the way to the boundary, and a
+    third to 1e-3.  (No pair gets two points at 1e-7: the cross ratio
+    calls four points coincident when the product of the two end gaps is
+    below about 1e-14.)"""
+    pts = domain.sample_interior(np.random.default_rng(seed), 2 * count)
+    ref = domain.reference
+    rays = (pts - ref) / row_norms(pts - ref)[:, None]
+    _, ends, _ = domain.clip_lines(np.broadcast_to(ref, pts.shape), rays)
+    for start, gap in ((0, 1e-7), (1, 1e-3)):
+        pts[start::3] = ref + rays[start::3] * (ends[start::3] * (1.0 - gap))[:, None]
+    pts = pts[domain.contains_rows(pts)]
+    pts = pts[: len(pts) // 2 * 2]
+    return pts[0::2], pts[1::2]
+
+
+# ---------- the batched verifiers equal the loops ----------------------------------
+
+
+@pytest.mark.parametrize("name, samples", _CASES)
+def test_duality_matches_the_per_member_loop(name, samples):
+    domain = _domain(name)
+    for seed in (0, 1):
+        want = _reference_duality(domain, n_samples=samples, seed=seed).to_text()
+        assert verify_duality_identity(domain, n_samples=samples, seed=seed).to_text() == want
+
+
+@pytest.mark.parametrize("name, samples", _CASES)
+def test_exhaustion_matches_the_per_sample_loop(name, samples):
+    domain = _domain(name)
+    for seed in (0, 1):
+        want = _reference_exhaustion(domain, n_samples=samples, seed=seed).to_text()
+        assert verify_exhaustion_monotone(domain, n_samples=samples, seed=seed).to_text() == want
+
+
+@pytest.mark.parametrize("name, samples", _CASES)
+def test_metric_matches_the_per_pair_loop(name, samples):
+    domain = _domain(name)
+    for seed in (0, 1):
+        want = _reference_metric(domain, n_pairs=samples, seed=seed).to_text()
+        assert verify_metric_consistency(domain, n_pairs=samples, seed=seed).to_text() == want
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2])
+def test_tiny_sample_counts_match_the_loops(square, samples):
+    assert (verify_duality_identity(square, n_samples=samples).to_text()
+            == _reference_duality(square, n_samples=samples).to_text())
+    assert (verify_exhaustion_monotone(square, n_samples=samples).to_text()
+            == _reference_exhaustion(square, n_samples=samples).to_text())
+    assert (verify_metric_consistency(square, n_pairs=samples).to_text()
+            == _reference_metric(square, n_pairs=samples).to_text())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_failing_duality_run_keeps_the_member_order(monkeypatch, square, seed):
+    """The dual tube of a square shrunk by 10% is too big: kernels of a few
+    of its members meet the tube.  The per-member loop stops drawing at a
+    member's first hit, so after the first violation its stream, and so
+    the members it flags, can differ from the batched run, which draws
+    every kernel point; up to that violation the two agree."""
+    monkeypatch.setattr(verify, "dual_tube", lambda d: dual_tube(d.scaled_copy(0.1)))
+    want = _reference_duality(square, n_samples=60, seed=seed)
+    got = verify_duality_identity(square, n_samples=60, seed=seed)
+    assert want.violations and got.violations
+    assert got.violations[0] == want.violations[0]
+    etas = dual_tube(square.scaled_copy(0.1))[0].sample_points(
+        np.random.default_rng(np.random.SeedSequence([seed])), 30)
+    order = [f"kernel of a dual tube member {eta} meets the tube" for eta in etas]
+    assert got.violations == [m for m in order if m in got.violations]
+
+
+def test_failing_exhaustion_run_matches_the_loop(monkeypatch, square):
+    # stages shifted by 2 delta: the small ones stick out of the larger ones
+    original = ConvexDomain.scaled_copy
+
+    def shifted_copy(self, delta):
+        shift = ProjectiveMap([[1.0, 0.0, 2.0 * delta], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        return original(self, delta).transform(shift)
+
+    monkeypatch.setattr(ConvexDomain, "scaled_copy", shifted_copy)
+    want = _reference_exhaustion(square, n_samples=60, seed=2)
+    assert len(want.violations) > 1
+    assert verify_exhaustion_monotone(square, n_samples=60, seed=2).to_text() == want.to_text()
+
+
+def test_failing_metric_run_matches_the_loop(monkeypatch, square):
+    # both routes off: each pair records two violations, tube route first
+    tube_route = Tube.real_pair_distances
+    cross_route = ConvexDomain.cross_ratio_rows
+    monkeypatch.setattr(Tube, "real_pair_distances",
+                        lambda self, x, y: tube_route(self, x, y) + 1e-6)
+    monkeypatch.setattr(ConvexDomain, "cross_ratio_rows",
+                        lambda self, x, y: cross_route(self, x, y) - 2e-6)
+    want = _reference_metric(square, n_pairs=30, seed=4)
+    assert len(want.violations) == 2 * want.details["pairs"]
+    assert verify_metric_consistency(square, n_pairs=30, seed=4).to_text() == want.to_text()
+
+
+# ---------- metric routes ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["cube3", "simplex4"])
+def test_metric_row_forms_round_as_the_one_pair_bodies(name):
+    domain = _domain(name)
+    tube = Tube(domain)
+    x, y = _pairs(domain, 5, 150)
+    rows = np.column_stack([domain.hilbert_distance_rows(x, y),
+                            tube.real_pair_distances(x, y),
+                            domain.cross_ratio_rows(x, y)])
+    for i in range(len(x)):
+        want = _reference_routes(domain, x[i], y[i])
+        assert tuple(rows[i]) == want
+        assert (domain.hilbert_distance(x[i], y[i]), tube.kobayashi_supported(x[i], y[i]),
+                domain.cross_ratio_check(x[i], y[i])) == want
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["cube3"])
+def test_route_errors_stay_inside_their_condition_bound(name):
+    # the slack of 64 is derived as an upper bound; the measured constant
+    # (about 7 for the Poincare route, 0.5 for the cross ratio) leaves room
+    domain = _domain(name)
+    x, y = _pairs(domain, 6, 300)
+    h = domain.hilbert_distance_rows(x, y)
+    kappa_p, kappa_c = _route_conditions(domain, x, y)
+    for values, kappa in ((Tube(domain).real_pair_distances(x, y), kappa_p),
+                          (domain.cross_ratio_rows(x, y), kappa_c)):
+        assert np.all(np.abs(values - h) <= 16.0 * _UNIT_ROUNDOFF * kappa)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--file", str(BENCH_DOMAINS / "cube3.dom"), "--seed", "910389641", "--samples", "5"],
+    ["--domain", "square", "--seed", "1223299072", "--samples", "30"],
+    ["--domain", "square", "--seed", "19166", "--samples", "30"],
+])
+def test_metric_accepts_ill_conditioned_pairs_on_correct_code(capsys, argv):
+    # each run holds a pair at Hilbert distance 8.9 to 9.5 near a facet,
+    # whose routes differ by 1.2e-10 to 2.9e-10 relative through rounding
+    assert main(["check", "--suite", "metric", *argv]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] metric_consistency")
+
+
+def test_metric_accepts_a_line_grazing_a_facet(monkeypatch, triangle):
+    # both points lie within 2e-8 of the hypotenuse, and their line leaves
+    # through it at a grazing angle: the tube route's one extra
+    # normalization of the direction slides the clip end enough to move h
+    # by 3.4e-9, which only the margin term of kappa_p accounts for
+    pair = np.array([[0.7259990504268387, 0.274000930874232],
+                     [0.35223346725006954, 0.647766526357219]])
+    monkeypatch.setattr(ConvexDomain, "sample_interior", lambda self, rng, count: pair)
+    assert _reference_metric(triangle, n_pairs=1).violations
+    report = verify_metric_consistency(triangle, n_pairs=1)
+    assert report.passed and report.max_error > 3e-9
+
+
+@pytest.mark.parametrize("route", ["tube", "cross"])
+def test_metric_flags_an_offset_route_on_well_conditioned_pairs(monkeypatch, square, route):
+    # a route off by 1e-9 max(1, h) must fail on every pair with kappa < 1e3
+    def offset(values, x, y):
+        return values + 1e-9 * np.maximum(1.0, square.hilbert_distance_rows(x, y))
+
+    if route == "tube":
+        original = Tube.real_pair_distances
+        monkeypatch.setattr(Tube, "real_pair_distances",
+                            lambda self, x, y: offset(original(self, x, y), x, y))
+        message, which = "hilbert vs tube distance", 0
+    else:
+        original = ConvexDomain.cross_ratio_rows
+        monkeypatch.setattr(ConvexDomain, "cross_ratio_rows",
+                            lambda self, x, y: offset(original(self, x, y), x, y))
+        message, which = "cross-ratio route", 1
+    report = verify_metric_consistency(square, n_pairs=200, seed=8)
+    pts = square.sample_interior(np.random.default_rng(np.random.SeedSequence([8])), 400)
+    kappa = _route_conditions(square, pts[0::2], pts[1::2])[which]
+    assert (kappa < 1e3).sum() > 150
+    flagged = [m for m in report.violations if m.startswith(message)]
+    assert len(flagged) >= (kappa < 1e3).sum()
+    assert _ROUTE_SLACK * _UNIT_ROUNDOFF * 1e3 < 1e-10

@@ -271,3 +271,21 @@ def test_check_all_suites_in_three_and_four_dimensions(capsys, name, seed):
     code, out, _ = run(capsys, "check", "--file", str(BENCH_DOMAINS / f"{name}.dom"),
                        "--suite", "all", "--samples", "5", "--seed", str(seed))
     assert code == 0, out
+
+
+def test_one_parser_serves_every_call_without_leaking_arguments(capsys):
+    from elliptic_tubes import cli
+
+    first = run(capsys, "check", "--domain", "triangle", "--suite", "exhaust",
+                "--seed", "5", "--samples", "20", "--verbose")
+    parser = cli._PARSER
+    assert run(capsys, "dist", "--domain", "interval", "0.1", "0.5")[0] == 0
+    # nothing of the two calls above may carry over: square, seed 0, 200 samples
+    again = run(capsys, "check", "--suite", "exhaust")
+    explicit = run(capsys, "check", "--domain", "square", "--suite", "exhaust",
+                   "--seed", "0", "--samples", "200")
+    assert cli._PARSER is parser
+    assert again == explicit
+    assert "seed=0" in again[1] and "report:" not in again[1]
+    assert run(capsys, "check", "--domain", "triangle", "--suite", "exhaust",
+               "--seed", "5", "--samples", "20", "--verbose") == first

@@ -9,6 +9,7 @@ from elliptic_tubes.projective import (
     ProjectiveMap,
     RealLine,
     cross_ratio,
+    cross_ratio_rows,
     identity_rows,
     is_real,
     line_chart,
@@ -182,6 +183,30 @@ def test_cross_ratio_projective_invariance(rng):
         amap = ProjectiveMap(mat)
         moved = [amap.apply(p) for p in pts]
         assert cross_ratio(*moved) == pytest.approx(base, rel=1e-8)
+
+
+def _one_stack_cross_ratio(lifts):
+    """The one-stack body that `cross_ratio_rows` replaced."""
+    _, _, vh = np.linalg.svd(lifts)
+    coords = lifts @ vh[:2].conj().T
+
+    def det(i, j):
+        return coords[i, 0] * coords[j, 1] - coords[i, 1] * coords[j, 0]
+
+    return (det(0, 2) * det(3, 1)) / (det(0, 1) * det(3, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cross_ratio_rows_round_as_one_stack(rng, k):
+    # four points of a complex projective line, each lift rescaled
+    span = rng.normal(size=(300, 2, k)) + 1j * rng.normal(size=(300, 2, k))
+    mix = rng.normal(size=(300, 4, 2)) + 1j * rng.normal(size=(300, 4, 2))
+    lifts = mix @ span
+    values, collinear, degenerate = cross_ratio_rows(lifts)
+    assert collinear.all() and not degenerate.any()
+    for stack, value in zip(lifts, values):
+        want = _one_stack_cross_ratio(stack)
+        assert value.real == want.real and value.imag == want.imag
 
 
 # ---------- projective maps ---------------------------------------------------
