@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog
 from .domains import ConvexDomain, HDomain
-from .domspec import DomainSpecError, format_domain_text, load_domain
+from .domspec import DomainSpec, DomainSpecError, format_domain_text, load_domain
 from .duality import dual_of
 from .errors import GeometryError
 from .quotients import ConvexRPManifold, check_free_action
@@ -57,26 +57,16 @@ def _fmt_float(value: float) -> str:
     return format(float(value), _FMT)
 
 
-class _Setup:
-    """Domain plus the optional extras a file may carry."""
-
-    def __init__(self, domain, generators=(), puncture=None):
-        self.domain = domain
-        self.generators = generators
-        self.puncture = puncture
-
-
-def _load_setup(args) -> _Setup:
+def _load_setup(args) -> DomainSpec:
     if getattr(args, "file", None):
-        spec = load_domain(args.file)
-        return _Setup(spec.domain, spec.generators, spec.puncture)
+        return load_domain(args.file)
     name = getattr(args, "domain", None) or "square"
     domain = catalog.by_name(name)
     if name == "halfline":
-        return _Setup(domain, (catalog.doubling_map(),))
+        return DomainSpec(domain, (catalog.doubling_map(),))
     if name == "simplex":
-        return _Setup(domain, catalog.simplex_diagonal_maps())
-    return _Setup(domain)
+        return DomainSpec(domain, catalog.simplex_diagonal_maps())
+    return DomainSpec(domain)
 
 
 # ----------------------------------------------------------------------

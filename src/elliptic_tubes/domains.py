@@ -389,10 +389,13 @@ class ConvexDomain:
         """Clip parameters of many chart lines ``t -> x0[i] + t directions[i]``.
 
         ``x0`` and ``directions`` are (B, n) arrays, the directions of unit
-        length.  Returns ``(a, b, ok)``, three (B,) arrays: ``ok`` is false
-        where the line misses the domain or its clip is shorter than 1e-10
-        (and ``a``, ``b`` are NaN there), otherwise ``a < b`` are exact roots
-        of the facet functionals or of the boundary quadric.  A facet with
+        length: the code that builds a line (:meth:`_line_data`,
+        :meth:`_pair_directions`, ``Tube._trace_clips``) divides its
+        direction by its norm once, and nothing divides it again.  Returns
+        ``(a, b, ok)``, three (B,) arrays: ``ok`` is false where the line
+        misses the domain or its clip is shorter than 1e-10 (and ``a``,
+        ``b`` are NaN there), otherwise ``a < b`` are exact roots of the
+        facet functionals or of the boundary quadric.  A facet with
         ``|beta| <= 1e-13`` counts as parallel to the line.  Each row is
         rounded as a one-row call would be.
         """
@@ -425,12 +428,13 @@ class ConvexDomain:
         hi[~ok] = np.nan
         return lo, hi, ok
 
-    def _clip_ab(self, line):
-        """``(a, b)`` of :meth:`line_clip` without building the interval,
-        or None when the clip is empty."""
+    def _unit_clip(self, line):
+        """``(x0, direction, a, b)`` of :meth:`line_clip` without building
+        the interval: the line's chart form with a unit direction and its
+        clip, or None when the clip is empty."""
         x0, direction = self._line_data(line)
         a, b, ok = self.clip_lines(x0[None], direction[None])
-        return (a[0], b[0]) if ok[0] else None
+        return (x0, direction, float(a[0]), float(b[0])) if ok[0] else None
 
     def line_clip(self, line):
         """Intersect a real line with the domain.
@@ -440,16 +444,15 @@ class ConvexDomain:
         the facet functionals or of the boundary quadric) or None when the
         intersection is empty or shorter than 1e-10.
         """
-        x0, direction = self._line_data(line)
-        a, b, ok = self.clip_lines(x0[None], direction[None])
-        if not ok[0]:
+        clip = self._unit_clip(line)
+        if clip is None:
             return None
-        lo, hi = a[0], b[0]
+        x0, direction, lo, hi = clip
         return Interval(
             x0=x0,
             direction=direction,
-            a=float(lo),
-            b=float(hi),
+            a=lo,
+            b=hi,
             v0=self.chart.lift(x0 + lo * direction),
             v1=self.chart.lift(x0 + hi * direction),
         )
@@ -477,15 +480,14 @@ class ConvexDomain:
 
     def _pair_directions(self, x, y):
         """``(sep, direction)`` for the paired rows of two (B, n) chart
-        arrays: ``|y - x|`` and ``(y - x) / sep`` normalized once more, as
-        :meth:`line_clip` normalizes any direction.  Rows with
-        ``sep < 1e-15`` get the first coordinate axis."""
+        arrays: ``|y - x|`` and the unit direction ``(y - x) / sep`` that
+        every metric route clips.  Rows with ``sep < 1e-15`` get the first
+        coordinate axis."""
         delta = y - x
         sep = row_norms(delta)
         same = sep < 1e-15
         delta[same] = np.eye(self.n)[0]
-        direction = delta / np.where(same, 1.0, sep)[:, None]
-        return sep, direction / row_norms(direction)[:, None]
+        return sep, delta / np.where(same, 1.0, sep)[:, None]
 
     def finsler_norm(self, x, w):
         """Infinitesimal Hilbert norm of a chart tangent vector at x."""
@@ -496,7 +498,7 @@ class ConvexDomain:
         speed = np.linalg.norm(w)
         if speed == 0.0:
             return 0.0
-        a, b = self._clip_ab((x, w / speed))
+        _, _, a, b = self._unit_clip((x, w))
         return 0.5 * (1.0 / -a + 1.0 / b) * speed
 
     def cross_ratio_check(self, x, y):
@@ -578,27 +580,12 @@ class ConvexDomain:
     def sample_interior(self, rng, count):
         """Rejection-sample interior chart points; deterministic in rng.
 
-        Each round draws ``4 max(count - got, 32)`` box points and keeps the
-        interior ones in order until ``count`` are found; the rest of the
-        round is discarded.  Raises :class:`DrawBudgetError` instead of
-        starting a round once ``_DRAW_BUDGET`` points have been drawn.
-        """
+        Box rejection from :attr:`bbox`: the samples and the generator's
+        final state are those of drawing ``rng.uniform(lo, hi)`` until
+        ``count`` points passed :meth:`contains_rows` (see
+        :func:`box_rejection`)."""
         lo, hi = self.bbox
-        out = np.empty((count, self.n))
-        got = drawn = 0
-        while got < count:
-            if drawn >= _DRAW_BUDGET:
-                raise DrawBudgetError("sample_interior", got, count, drawn)
-            batch = rng.uniform(lo, hi, size=(max(count - got, 32) * 4, self.n))
-            drawn += len(batch)
-            for start in range(0, len(batch), _BLOCK_ROWS):
-                block = batch[start:start + _BLOCK_ROWS]
-                keep = block[self.contains_rows(block)][: count - got]
-                out[got:got + len(keep)] = keep
-                got += len(keep)
-                if got == count:
-                    break
-        return out
+        return box_rejection(rng, count, lo, hi, self.contains_rows, "sample_interior")
 
     def validate(self):
         """Structural checks; returns a report rather than raising."""

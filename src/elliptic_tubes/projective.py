@@ -470,11 +470,15 @@ def cross_ratio_rows(lifts, tol=1e-9):
         return (_cmul(coords[:, i, 0], coords[:, j, 1])
                 - _cmul(coords[:, i, 1], coords[:, j, 0]))
 
-    num = _cmul(det(0, 2), det(3, 1))
-    den = _cmul(det(0, 1), det(3, 2))
-    scale = np.hypot(coords.real, coords.imag).max(axis=(1, 2)) ** 4
-    degenerate = ((np.hypot(den.real, den.imag) <= 1e-14 * scale)
-                  | (np.hypot(num.real, num.imag) <= 1e-14 * scale))
+    pairs = ((0, 2), (3, 1), (0, 1), (3, 2))
+    dets = [det(i, j) for i, j in pairs]
+    # two points coincide when their determinant is tiny against the norms
+    # of their own two rows, however small the other determinants are
+    norms = row_norms(coords.reshape(-1, 2)).reshape(len(lifts), 4)
+    degenerate = np.any([np.hypot(d.real, d.imag) <= 1e-14 * norms[:, i] * norms[:, j]
+                         for d, (i, j) in zip(dets, pairs)], axis=0)
+    num = _cmul(dets[0], dets[1])
+    den = _cmul(dets[2], dets[3])
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den, collinear, degenerate
 

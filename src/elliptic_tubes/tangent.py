@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskgeom import geodesic_foot, point_at_distance
-from .errors import NotInteriorError, ZeroDirectionError
+from .errors import NotInteriorError
 from .tube import Tube
 
 __all__ = ["TangentVector", "geodesic_foot", "to_tangent", "from_tangent"]
@@ -83,11 +83,7 @@ def from_tangent(tube: Tube, vector: TangentVector):
         raise NotInteriorError("the base point must lie inside the domain")
     if vector.magnitude == 0.0:
         return base.astype(np.complex128)
-    norm = np.linalg.norm(vector.direction)
-    if not norm > 0.0:
-        raise ZeroDirectionError("a nonzero magnitude needs a direction")
-    direction = vector.direction / norm
-    disk = tube.slice_on_line(base, direction)
+    disk = tube.slice_on_line(base, vector.direction)
     anchor = disk.to_unit_disk(0.0)  # the base point's disk coordinate
     w = point_at_distance(anchor, vector.magnitude, upper=True)
     tau = disk.from_unit_disk(w)

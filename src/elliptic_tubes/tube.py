@@ -29,7 +29,6 @@ from .errors import (
     RealPointError,
     RepresentationError,
     UnsupportedConfigurationError,
-    ZeroDirectionError,
 )
 from .projective import HPoint, row_norms
 
@@ -196,13 +195,11 @@ class Tube:
     def _trace_clips(self, x, y):
         """``(speed, a, b, ok)`` for the rows of (B, n) arrays x, y with
         nonzero y: ``speed = |y|`` and the clip of the trace line
-        ``t -> x + t y / |y|`` (see :meth:`ConvexDomain.clip_lines`)."""
+        ``t -> x + t y / |y|`` (see :meth:`ConvexDomain.clip_lines`).  The
+        direction is rounded as :meth:`slice_disk` rounds it, so a slice
+        disk and the membership tests clip the same line."""
         speed = row_norms(y)
-        direction = y / speed[:, None]
-        # renormalized as line_clip renormalizes any direction it is given,
-        # so that a slice disk and the membership tests round alike
-        direction = direction / row_norms(direction)[:, None]
-        a, b, ok = self.base.clip_lines(x, direction)
+        a, b, ok = self.base.clip_lines(x, y / speed[:, None])
         return speed, a, b, ok
 
     # ------------------------------------------------------------------
@@ -216,22 +213,16 @@ class Tube:
         x, y, real_flag = parts
         if real_flag:
             raise RealPointError("a real point does not select a unique slice")
-        direction = y / np.linalg.norm(y)
-        return self.slice_on_line(x, direction)
+        return self.slice_on_line(x, y)
 
     def slice_on_line(self, x0, direction):
-        """The slice over the real chart line ``t -> x0 + t direction``."""
-        x0 = np.asarray(x0, dtype=np.float64).reshape(self.n)
-        direction = np.asarray(direction, dtype=np.float64).reshape(self.n)
-        norm = np.linalg.norm(direction)
-        if not norm > 0.0:
-            raise ZeroDirectionError("slice direction must be nonzero")
-        direction = direction / norm
-        clip = self.base._clip_ab((x0, direction))
+        """The slice over the real chart line ``t -> x0 + t direction``;
+        the disk's direction is ``direction`` made unit."""
+        clip = self.base._unit_clip((x0, direction))
         if clip is None:
             raise EmptySliceError("the line does not meet the base domain")
-        a, b = clip
-        return SliceDisk(x0=x0, direction=direction, a=float(a), b=float(b))
+        x0, direction, a, b = clip
+        return SliceDisk(x0=x0, direction=direction, a=a, b=b)
 
     # ------------------------------------------------------------------
     # boundary gauges
@@ -347,8 +338,7 @@ class Tube:
         if not (self.base.contains_rows(x).all() and self.base.contains_rows(y).all()):
             raise NotInteriorError("real points must lie inside the base")
         sep, direction = self.base._pair_directions(x, y)
-        # normalized once more, as slice_on_line normalizes before clipping
-        a, b, ok = self.base.clip_lines(x, direction / row_norms(direction)[:, None])
+        a, b, ok = self.base.clip_lines(x, direction)
         if not ok.all():
             raise EmptySliceError("the line does not meet the base domain")
         # SliceDisk.to_unit_disk of the two line coordinates

@@ -19,7 +19,7 @@ from scipy.linalg import null_space
 from . import _kernels
 from .domains import ConvexDomain, HDomain
 from .duality import _violating_pair, dual_tube, tube_separator
-from .errors import RepresentationError, ZeroDirectionError
+from .errors import DegenerateError, RepresentationError, ZeroDirectionError
 from .projective import Functional, HPoint, normalize_lifts, pushforward, row_norms
 from .quotients import _preserves
 from .report import VerifierReport
@@ -301,6 +301,10 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
         details={"variant": variant, "points": n_points},
     )
     witnesses = tube.sample_points(rng, 64)
+    wit_lifts = np.column_stack(
+        [domain.chart.inverse @ np.append(wz, 1.0) for wz in witnesses]
+    )
+    wit_norms = np.linalg.norm(wit_lifts, axis=0)
     per_point = max(1, n_kernel_samples // n_points)
     kernel_tested = 0
     for z in tube.sample_exterior(rng, n_points):
@@ -336,12 +340,7 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
         if hits:
             report.record(f"kernel of the separator at {z} meets the tube ({hits} hits)")
         # and the tube witnesses must not lie on the kernel
-        wit_lifts = np.column_stack(
-            [domain.chart.inverse @ np.append(wz, 1.0) for wz in witnesses]
-        )
-        wit_vals = np.abs(xi.coeffs @ wit_lifts) / (
-            np.linalg.norm(xi.coeffs) * np.linalg.norm(wit_lifts, axis=0)
-        )
+        wit_vals = np.abs(xi.coeffs @ wit_lifts) / (np.linalg.norm(xi.coeffs) * wit_norms)
         if wit_vals.min() <= tol:
             report.record(f"separator at {z} nearly vanishes on a tube point")
     report.details["kernel_samples"] = kernel_tested
@@ -523,7 +522,7 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
     # exterior separators: in the closed dual tube, vanishing at the point
     try:
         hdom = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
-    except Exception:
+    except DegenerateError:  # an ellipsoid has no functional family
         hdom = None
     if hdom is None:
         report.skipped += half
@@ -554,7 +553,7 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
 
 
 _UNIT_ROUNDOFF = 0.5 * np.finfo(np.float64).eps
-# the first-order rounding constants of both routes, 48 and 28 (see
+# the first-order rounding constants of both routes, 42 and 28 (see
 # _route_conditions), rounded up with room to spare
 _ROUTE_SLACK = 64.0
 
@@ -567,8 +566,8 @@ def _route_conditions(domain: ConvexDomain, x, y):
     roundoff.
 
     Let (a, b) be the clip of the line ``x + t (y - x) / s``, s = |y - x|,
-    so a < 0 < s < b, and L = b - a.  The Hilbert and cross-ratio routes
-    clip the same line; the tube route normalizes the direction once more.
+    so a < 0 < s < b, and L = b - a.  All three routes clip this line,
+    with the same unit direction.
 
     * Hilbert route: ``h = log(((a - s) b) / (a (b - s))) / 2`` is a
       product of four differences of exact inputs, so its own error is a
@@ -585,18 +584,8 @@ def _route_conditions(domain: ConvexDomain, x, y):
       which is ``cosh(d)^2 / den^2``: about ``cosh(d)^2`` for points on
       opposite sides of the slice centre, and larger when both sit near
       one end.  At d = 9.5 it is about 1e7, so rounding alone moves the
-      route by about 1e-9.  Rounding ``num / den`` adds ``4 u P``.  Its
-      direction differs from the Hilbert route's by a rescaling of at
-      most 2u, which moves h by at most ``u s (1/(s - a) + 1/(b - s)) <=
-      5 u P``, and a rotation of at most u.  A rotation by θ slides the
-      clip end b by ``θ b tan(φ)``, φ the angle between the line and the
-      boundary's normal there; as y lies at least its margin from the
-      tangent plane, ``tan(φ) <= (b - s) / margin(y)``, and h moves by at
-      most ``θ s / (2 margin(y))``, and likewise at a.  So
-
-          kappa_p = P + s (1 / margin(x) + 1 / margin(y))
-
-      with a constant of 38 + 4 + 5 + 1 = 48.
+      route by about 1e-9.  Rounding ``num / den`` adds ``4 u P``.  So
+      ``kappa_p = P``, with a constant of 38 + 4 = 42.
     * Cross-ratio route: it rebuilds the boundary points ``x + a dir`` and
       ``x + b dir`` and lifts all four points through the chart.  A point
       p moves by ``u |p|``, and its normalized lift by a few u; the 2 x 2
@@ -614,8 +603,7 @@ def _route_conditions(domain: ConvexDomain, x, y):
     sep, direction = domain._pair_directions(x, y)
     a, b, _ = domain.clip_lines(x, direction)
     length = b - a
-    kappa_p = (length ** 4 / (16.0 * -a * b * (sep - a) * (b - sep))
-               + sep * (1.0 / domain.margin_rows(x) + 1.0 / domain.margin_rows(y)))
+    kappa_p = length ** 4 / (16.0 * -a * b * (sep - a) * (b - sep))
     scale = np.linalg.cond(domain.chart.matrix) * (1.0 + row_norms(x) + length)
     kappa_c = scale ** 2 * (1.0 / -a + 1.0 / (b - sep))
     return kappa_p, kappa_c

@@ -19,6 +19,7 @@ from elliptic_tubes.diskgeom import poincare_distance
 from elliptic_tubes.domains import ConvexDomain, HDomain
 from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.duality import dual_tube, tube_separator
+from elliptic_tubes.errors import DegenerateError
 from elliptic_tubes.projective import HPoint, ProjectiveMap, row_norms
 from elliptic_tubes.report import VerifierReport
 from elliptic_tubes.tube import Tube
@@ -175,15 +176,12 @@ def _reference_routes(domain, x, y):
     """(Hilbert, tube, cross-ratio) distance of one real pair, through the
     one-pair bodies the row forms replaced."""
     sep = np.linalg.norm(y - x)
-    clip = domain.line_clip((x, (y - x) / sep))
+    clip = domain.line_clip((x, y - x))
     a, b = clip.a, clip.b
     h = 0.5 * float(np.log(((a - sep) * b) / (a * (b - sep))))
-    # the tube route normalizes the direction once more before clipping
-    twice = domain.line_clip((x, clip.direction))
-    a2, b2 = twice.a, twice.b
 
     def unit(tau):
-        return (2.0 * complex(tau) - (a2 + b2)) / (b2 - a2)
+        return (2.0 * complex(tau) - (a + b)) / (b - a)
 
     k_dist = poincare_distance(unit(0.0), unit(sep))
     pa, pb = clip.endpoint_points()
@@ -200,20 +198,24 @@ def _reference_routes(domain, x, y):
 
 
 def _pairs(domain, seed, count):
-    """Interior pairs, a third of their points pushed out along the ray
-    from the reference point to 1e-7 of the way to the boundary, and a
-    third to 1e-3.  (No pair gets two points at 1e-7: the cross ratio
-    calls four points coincident when the product of the two end gaps is
-    below about 1e-14.)"""
+    """Interior pairs, some of their points pushed out along the ray from
+    the reference point to 1e-7 or 1e-3 of the way to the boundary: of
+    every three pairs, one has both points at 1e-7, one a point at 1e-7
+    and one a point at 1e-3."""
     pts = domain.sample_interior(np.random.default_rng(seed), 2 * count)
     ref = domain.reference
     rays = (pts - ref) / row_norms(pts - ref)[:, None]
     _, ends, _ = domain.clip_lines(np.broadcast_to(ref, pts.shape), rays)
-    for start, gap in ((0, 1e-7), (1, 1e-3)):
-        pts[start::3] = ref + rays[start::3] * (ends[start::3] * (1.0 - gap))[:, None]
+    gaps = np.resize([1e-7, 1e-7, 1e-7, 0.0, 1e-3, 0.0], len(pts))
+    out = gaps > 0.0
+    pts[out] = ref + rays[out] * (ends[out] * (1.0 - gaps[out]))[:, None]
     pts = pts[domain.contains_rows(pts)]
     pts = pts[: len(pts) // 2 * 2]
-    return pts[0::2], pts[1::2]
+    x, y = pts[0::2], pts[1::2]
+    # on a line, two points pushed to the same end coincide; the metric
+    # verifier skips such pairs
+    apart = row_norms(x - y) >= 1e-10
+    return x[apart], y[apart]
 
 
 # ---------- the batched verifiers equal the loops ----------------------------------
@@ -343,15 +345,28 @@ def test_metric_accepts_ill_conditioned_pairs_on_correct_code(capsys, argv):
 
 def test_metric_accepts_a_line_grazing_a_facet(monkeypatch, triangle):
     # both points lie within 2e-8 of the hypotenuse, and their line leaves
-    # through it at a grazing angle: the tube route's one extra
-    # normalization of the direction slides the clip end enough to move h
-    # by 3.4e-9, which only the margin term of kappa_p accounts for
+    # through it at a grazing angle, where a direction one ulp off moves
+    # the clip end enough to move h by 3.4e-9; every route clips the same
+    # line, so they agree to rounding
     pair = np.array([[0.7259990504268387, 0.274000930874232],
                      [0.35223346725006954, 0.647766526357219]])
     monkeypatch.setattr(ConvexDomain, "sample_interior", lambda self, rng, count: pair)
-    assert _reference_metric(triangle, n_pairs=1).violations
+    assert not _reference_metric(triangle, n_pairs=1).violations
     report = verify_metric_consistency(triangle, n_pairs=1)
-    assert report.passed and report.max_error > 3e-9
+    assert report.passed and report.max_error < 1e-12
+
+
+def test_metric_accepts_points_near_opposite_facets(monkeypatch, square):
+    # end gaps of 1e-7 at both ends make both products of the cross ratio's
+    # determinants about 1e-14; the guard tests each determinant against
+    # the norms of its own two points, so only coincident points raise
+    x, y = [-1.0 + 1e-7, 0.1], [1.0 - 1e-7, 0.1]
+    assert square.cross_ratio_check(x, y) == pytest.approx(16.81124278, abs=1e-8)
+    monkeypatch.setattr(ConvexDomain, "sample_interior",
+                        lambda self, rng, count: np.array([x, y]))
+    assert verify_metric_consistency(square, n_pairs=1).passed
+    with pytest.raises(DegenerateError, match="coincident"):
+        square.cross_ratio_rows(np.array([x]), np.array([[1.0, 0.1]]))
 
 
 @pytest.mark.parametrize("route", ["tube", "cross"])

@@ -88,7 +88,7 @@ def _ref_contains(domain, zeta):
     if real_flag:
         return _ref_base_contains(domain, x)
     speed = np.linalg.norm(y)
-    clip = _ref_clip(domain, x, y / speed)
+    clip = _ref_clip(domain, x, y)
     if clip is None:
         return False
     a, b = clip
@@ -106,7 +106,7 @@ def _ref_classify(domain, zeta, band):
     if _ref_margin(domain, x) <= 0.0:
         return EXTERIOR
     speed = np.linalg.norm(y)
-    clip = _ref_clip(domain, x, y / speed)
+    clip = _ref_clip(domain, x, y)
     if clip is None or clip[0] >= 0.0 or clip[1] <= 0.0:
         return EXTERIOR
     prod = (speed / clip[1]) * (speed / -clip[0])
@@ -130,7 +130,7 @@ def _ref_sample_points(tube, rng, count, band=1e-6):
             continue
         speed = np.linalg.norm(y)
         if speed > _REAL_BAND:
-            a, b = _ref_clip(domain, x, y / speed)
+            a, b = _ref_clip(domain, x, y)
             if abs((speed / b) * (speed / -a) - 1.0) < band:
                 continue
         out[got] = zeta
@@ -162,13 +162,11 @@ def _ref_sample_interior(domain, rng, count):
     out = np.empty((count, domain.n))
     got = 0
     while got < count:
-        batch = rng.uniform(lo, hi, size=(max(count - got, 32) * 4, domain.n))
-        for p in batch:
-            if _ref_base_contains(domain, p):
-                out[got] = p
-                got += 1
-                if got == count:
-                    break
+        x = rng.uniform(lo, hi)
+        if not _ref_base_contains(domain, x):
+            continue
+        out[got] = x
+        got += 1
     return out
 
 

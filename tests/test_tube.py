@@ -144,6 +144,18 @@ def test_slice_disk_coordinates(square):
     assert disk.a < 0.0 < disk.b
 
 
+@pytest.mark.parametrize("name", ["square", "triangle", "simplex", "ellipse"])
+def test_slice_disk_clips_the_line_the_membership_tests_clip(name):
+    # a slice disk and the batched membership tests divide the trace
+    # direction by its norm once, in the same rounding: same (a, b) bits
+    tube = Tube(catalog.by_name(name))
+    zs = tube.sample_points(np.random.default_rng(1), 2000)
+    _, a, b, ok = tube._trace_clips(zs.real, zs.imag)
+    assert ok.all()
+    disks = [tube.slice_disk(z) for z in zs]
+    assert np.array_equal([(d.a, d.b) for d in disks], np.column_stack([a, b]))
+
+
 def test_slice_rejects_real_point(square):
     with pytest.raises(RealPointError):
         Tube(square).slice_disk(np.array([0.2 + 0j, 0.1 + 0j]))
