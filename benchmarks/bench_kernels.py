@@ -3,8 +3,9 @@
 The kernel table times ``pairwise_bitmap`` on the triangle (m = 3 rows) and
 the square (m = 4) and ``ellipsoid_bitmap`` on the ellipse, at each
 resolution, on a random complex line through the tube with the window the
-C-convexity verifier fits to it.  ``connectivity_counts`` (the two
-``ndimage.label`` passes) is timed on the bitmap the kernel returned.
+C-convexity verifier fits to it.  ``connectivity_counts`` (one pass over
+the region's row runs and a component count of their graph) is timed on
+the bitmap the kernel returned.
 Times are the best of ``--repeat`` runs.
 
 The stage table splits one-line ``verify_c_convexity`` calls (512 px with

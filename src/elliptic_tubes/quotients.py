@@ -309,7 +309,7 @@ def quotient_distance_cyclic(manifold: ConvexRPManifold, z, w, word_length=8) ->
         try:
             tau_wk = disk.coord(np.atleast_1d(chart_scalar(moved)))
             dist = disk.poincare(tau_z, tau_wk)
-        except Exception:
+        except (InfinityError, DegenerateError):
             continue
         best = min(best, dist)
     if not np.isfinite(best):

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 from scipy.linalg import null_space
+from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .domains import ConvexDomain, HDomain
@@ -26,7 +27,6 @@ from .report import VerifierReport
 from .tangent import TangentVector, from_tangent, to_tangent
 from .tube import Tube
 
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 _EIGHT = np.ones((3, 3), dtype=int)
 
 
@@ -85,18 +85,20 @@ def _auto_window(tube: Tube, anchor, direction, margin):
     return ((-w, w), (-w, w))
 
 
-def _content_window(tube: Tube, anchor, direction, margin=1.1,
+def _content_window(tube: Tube, anchor, direction, window=None,
                     probe_resolution=256, pad=3, rounds=2):
     """Window fitted to the slice content of a complex line.
 
-    The conservative window is certain to contain the region but can leave
-    a thin slice only a handful of pixels wide, and pixel-level topology is
-    meaningless at that scale.  Probing coarsely and refitting the frame to
-    the detected content (padded by a few probe pixels) keeps rasters well
-    conditioned at any resolution.  Falls back to the conservative window
-    when the probe sees nothing.
+    The conservative window (by default ``_auto_window`` at margin 1.1) is
+    certain to contain the region but can leave a thin slice only a
+    handful of pixels wide, and pixel-level topology is meaningless at that
+    scale.  Probing coarsely and refitting the frame to the detected
+    content (padded by a few probe pixels) keeps rasters well conditioned
+    at any resolution.  Falls back to the conservative window when the
+    probe sees nothing.
     """
-    window = _auto_window(tube, anchor, direction, margin)
+    if window is None:
+        window = _auto_window(tube, anchor, direction, 1.1)
     for _ in range(rounds):
         probe = rasterize_line(tube, anchor, direction,
                                resolution=probe_resolution, window=window)
@@ -222,30 +224,101 @@ def _pixels_join(tube: Tube, raster: SliceRaster, here, there, puncture, pad=2, 
     return bool(a) and a == b
 
 
+def _row_runs(bitmap):
+    """The region's row runs (maximal horizontal segments of set pixels) and
+    the graph that joins them.
+
+    Returns ``(start, end, stride, graph)``.  ``start`` and ``end`` hold, in
+    row-major order, the key ``row * stride + column`` of each run's first
+    pixel and of the column just past its last (``stride`` is the width plus
+    one).  ``graph`` is the sparse adjacency of the runs: two runs in
+    consecutive rows are joined when they share a column, which is
+    4-adjacency, so its components are the region's 4-components.
+    """
+    bitmap = np.asarray(bitmap)
+    rows, width = bitmap.shape
+    framed = np.zeros((rows, width + 2), dtype=bool)
+    framed[:, 1:-1] = bitmap
+    # a run starts and ends (exclusively) at a change along its row; the
+    # flat index of a change is its row-major key, row * stride + column
+    stride = width + 1
+    edges = np.flatnonzero(framed[:, 1:] != framed[:, :-1])
+    start, end = edges[0::2], edges[1::2]
+    n_runs = len(start)
+    # the runs of the next row that share a column with each run: their
+    # ends lie past its start and their starts before its end, one row on
+    first = np.searchsorted(end, start + stride, side="right")
+    past = np.searchsorted(start, end + stride, side="left")
+    joints = past - first
+    n_joints = int(joints.sum())
+    # run i's joints sit at offset[i] onwards in the list and reach runs
+    # first[i], first[i] + 1, ...
+    offset = np.cumsum(joints) - joints
+    upper = np.repeat(np.arange(n_runs), joints)
+    lower = np.arange(n_joints) + np.repeat(first - offset, joints)
+    graph = sparse.coo_matrix((np.ones(n_joints, dtype=np.int8), (upper, lower)),
+                              shape=(n_runs, n_runs))
+    return start, end, stride, graph
+
+
+def _fragment_links(bitmap, max_parts):
+    """``(count, links)`` for the 4-components of a bitmap's region, or
+    None when there are more than ``max_parts`` of them.
+
+    Components are numbered by their first pixel in row-major order.  A
+    link ``(squared distance, k, m, here, there)`` runs from the first
+    pixel ``here`` of component k to the pixel ``there`` of component m
+    nearest it, the first in row-major order on a tie.
+
+    Everything comes from the region's row runs (`_row_runs`): the first
+    pixel of a component starts its first run, and the pixel of a run
+    nearest a point lies in the point's column, clipped to the run.  No
+    per-pixel array is made, so a 1024 px raster costs no more memory here
+    than its runs.
+    """
+    start, end, stride, graph = _row_runs(bitmap)
+    count, part = connected_components(graph, directed=False)
+    if count > max_parts:
+        return None
+    # number the components by their first runs; SciPy promises no order
+    heads = np.unique(part, return_index=True)[1]
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(heads)] = np.arange(count)
+    part, heads = rank[part], np.sort(heads)
+    row, lo = np.divmod(start, stride)
+    hi = end - row * stride - 1
+    links = []
+    for k in range(count):
+        i, j = int(row[heads[k]]), int(lo[heads[k]])
+        col = np.clip(j, lo, hi)
+        dist = (row - i) ** 2 + (col - j) ** 2
+        # per component its nearest run; lexsort is stable, so on a tie
+        # the run that comes first in row-major order
+        order = np.lexsort((dist, part))
+        nearest = order[np.searchsorted(part[order], np.arange(count))]
+        for m in range(count):
+            if m != k:
+                b = nearest[m]
+                links.append((int(dist[b]), k, m, (i, j), (int(row[b]), int(col[b]))))
+    return count, links
+
+
 def _fragments_join(tube: Tube, raster: SliceRaster, puncture=None, max_parts=16):
     """Whether the components of the raster's region all join through
     finer rasters of the gaps between them (`_pixels_join`).
 
     A sliver thinner than a pixel, toward a cusp tip or along a whole thin
     region, rasters as a string of fragments that one dilation step may
-    not bridge.  The candidate links run from the first pixel of each
-    component to the nearest pixel of every other one; they are tried
-    shortest first, as for a minimum spanning tree, until every component
-    is linked or the links run out.
+    not bridge.  The candidate links (`_fragment_links`) run from the
+    first pixel of each component to the nearest pixel of every other
+    one; they are tried shortest first, as for a minimum spanning tree,
+    until every component is linked or the links run out.
     """
-    labels, count = ndimage.label(raster.bitmap, structure=_FOUR)
-    if count > max_parts:
+    found = _fragment_links(raster.bitmap, max_parts)
+    if found is None:
         return False
-    index = list(range(1, count + 1))
-    grid_r, grid_c = np.ogrid[:labels.shape[0], :labels.shape[1]]
-    links = []
-    for k in index:
-        i, j = (int(v) for v in np.argwhere(labels == k)[0])
-        dist = (grid_r - i) ** 2 + (grid_c - j) ** 2
-        for m, (bi, bj) in zip(index, ndimage.minimum_position(dist, labels, index)):
-            if m != k:
-                links.append((int(dist[bi, bj]), k, m, (i, j), (int(bi), int(bj))))
-    root = list(range(count + 1))
+    count, links = found
+    root = list(range(count))
 
     def find(k):
         while root[k] != k:
@@ -267,13 +340,22 @@ def connectivity_counts(bitmap):
 
     The region uses 4-connectivity and the complement 8-connectivity (the
     standard pairing that avoids digital topology paradoxes); the
-    complement is padded with an outer frame so the unbounded part counts
-    once.
+    complement is framed, so the unbounded part counts once.
+
+    Both counts come from the region's row runs (maximal horizontal
+    segments of set pixels).  Two runs in consecutive rows are joined when
+    they share a column, which is 4-adjacency, so the region components
+    are the components C of this run graph.  Each run and each joint is an
+    interval, and a joint meets only its two runs, so the region deforms
+    onto the graph: its Euler number is V - E (V runs, E joints) and it
+    has ``C - (V - E)`` holes.  By duality in the plane each hole is one
+    bounded 8-component of the complement, and the frame adds one more.
+    These are the counts that labelling the region with 4-connectivity
+    and the framed complement with 8-connectivity gives.
     """
-    _, n_region = ndimage.label(bitmap, structure=_FOUR)
-    comp = np.pad(1 - bitmap, 1, constant_values=1)
-    _, n_comp = ndimage.label(comp, structure=_EIGHT)
-    return int(n_region), int(n_comp)
+    start, _, _, graph = _row_runs(bitmap)
+    n_region = int(connected_components(graph, directed=False, return_labels=False))
+    return n_region, 1 + n_region - len(start) + graph.nnz
 
 
 # ----------------------------------------------------------------------
@@ -385,18 +467,18 @@ def _check_line(tube: Tube, anchor, direction, resolution, stability_factor, pun
         n_region, n_comp = connectivity_counts(raster.bitmap)
         bridged = False
         if n_region > 1:
-            fat = ndimage.binary_dilation(raster.bitmap, structure=_EIGHT).astype(np.uint8)
+            fat = ndimage.binary_dilation(raster.bitmap, structure=_EIGHT)
             if (connectivity_counts(fat)[0] == 1
                     or _fragments_join(tube, raster, puncture)):
                 n_region, bridged = 1, True
         return n_region, n_comp, bridged
 
-    window = _content_window(tube, anchor, direction)
+    limit = _auto_window(tube, anchor, direction, 1.1)
+    window = _content_window(tube, anchor, direction, limit)
     raster = rasterize_line(tube, anchor, direction, resolution=resolution,
                             window=window, puncture=puncture)
     # the probe can miss a cusp tip thinner than its pixels; widen the
     # window toward the conservative one until the region fits
-    limit = _auto_window(tube, anchor, direction, 1.1)
     while raster.touches_frame:
         wider = _widened(window, raster, limit)
         if wider == window:

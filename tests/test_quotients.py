@@ -17,6 +17,7 @@ from elliptic_tubes.quotients import (
     quotient_distance_cyclic,
 )
 from elliptic_tubes.report import VerifierReport
+from elliptic_tubes.tube import SliceDisk
 
 
 @pytest.fixture
@@ -261,6 +262,17 @@ def test_quotient_distance_symmetry_and_invariance(halfline_manifold, rng):
             quotient_distance_cyclic(halfline_manifold, z, 4.0 * w), abs=1e-11
         )
         assert d >= 0.0
+
+
+def test_quotient_distance_lets_other_errors_through(halfline_manifold, monkeypatch):
+    # only a chart exit (or a degenerate power) skips a power; any other
+    # error inside the loop is a fault and must reach the caller
+    def broken(self, tau1, tau2):
+        raise RuntimeError("broken disk")
+
+    monkeypatch.setattr(SliceDisk, "poincare", broken)
+    with pytest.raises(RuntimeError, match="broken disk"):
+        quotient_distance_cyclic(halfline_manifold, 1.0, 2.0)
 
 
 def test_quotient_distance_needs_cyclic_rank_one(simplex_manifold):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from elliptic_tubes import catalog
 from elliptic_tubes.errors import RepresentationError
@@ -8,7 +12,9 @@ from elliptic_tubes.tube import Tube
 from elliptic_tubes.verify import (
     _check_line,
     _content_window,
+    _fragment_links,
     _fragments_join,
+    _random_line,
     connectivity_counts,
     rasterize_line,
     verify_c_convexity,
@@ -166,6 +172,125 @@ def test_connectivity_on_handmade_bitmaps():
     diag = np.zeros((4, 4), dtype=np.uint8)
     diag[1, 1] = diag[2, 2] = 1
     assert connectivity_counts(diag) == (2, 1)
+
+
+# reference: the two labellings that `connectivity_counts` replaced, kept
+# verbatim
+
+
+_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+_EIGHT = np.ones((3, 3), dtype=int)
+
+
+def _reference_counts(bitmap):
+    _, n_region = ndimage.label(bitmap, structure=_FOUR)
+    comp = np.pad(1 - bitmap, 1, constant_values=1)
+    _, n_comp = ndimage.label(comp, structure=_EIGHT)
+    return int(n_region), int(n_comp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_connectivity_counts_match_the_labellings(data):
+    shape = (data.draw(st.integers(1, 20), label="rows"),
+             data.draw(st.integers(1, 20), label="cols"))
+    bitmap = data.draw(arrays(np.bool_, shape), label="bitmap")
+    expected = _reference_counts(bitmap)
+    assert connectivity_counts(bitmap) == expected
+    assert connectivity_counts(bitmap.astype(np.uint8)) == expected
+    for view in (bitmap.T, bitmap[::2], bitmap[:, ::-2]):  # strided views
+        assert connectivity_counts(view) == _reference_counts(view)
+
+
+def test_connectivity_counts_on_edge_bitmaps():
+    ones = np.ones((6, 7), dtype=bool)
+    row = np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=np.uint8)
+    checker = (np.indices((7, 6)).sum(axis=0) % 2 == 0)
+    plus = np.zeros((7, 9), dtype=bool)
+    plus[3, :] = plus[:, 4] = True
+    border = ones.copy()
+    border[1:-1, 1:-1] = False
+    # a ring in the hole of a ring: two regions, and the complement is the
+    # outside, the gap between the rings and the inner hole
+    rings = np.zeros((11, 11), dtype=bool)
+    rings[1:10, 1:10] = True
+    rings[2:9, 2:9] = False
+    rings[4:7, 4:7] = True
+    rings[5, 5] = False
+    cases = [
+        (np.zeros((5, 4), dtype=bool), (0, 1)),
+        (ones, (1, 1)),
+        (row, (3, 1)),
+        (row.T, (3, 1)),
+        (checker, (21, 1)),  # only diagonal neighbours: no two pixels join
+        (plus, (1, 1)),  # touches every side, cutting four corners off
+        (border, (1, 2)),  # touches every side and encloses a hole
+        (rings, (2, 3)),
+    ]
+    for bitmap, counts in cases:
+        assert _reference_counts(bitmap) == counts
+        assert connectivity_counts(bitmap) == counts
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "ellipse"])
+def test_connectivity_counts_match_the_labellings_on_rasters(name):
+    # every raster a line check counts: the final one, the stability one,
+    # and their dilations
+    tube = Tube(catalog.by_name(name))
+    for seed in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        anchor, direction, _ = _random_line(tube, rng)
+        window = _content_window(tube, anchor, direction)
+        for resolution in (512, 1024):
+            bitmap = rasterize_line(tube, anchor, direction, resolution=resolution,
+                                    window=window).bitmap
+            fat = ndimage.binary_dilation(bitmap, structure=_EIGHT)
+            for raster in (bitmap, fat):
+                assert connectivity_counts(raster) == _reference_counts(raster)
+
+
+def _reference_links(bitmap):
+    # the links of `_fragment_links` pixel by pixel from a 4-labelling:
+    # components ordered by first pixel, and on a tie the nearest pixel
+    # that comes first in row-major order (argwhere lists pixels that way)
+    labels, count = ndimage.label(bitmap, structure=_FOUR)
+    parts = sorted((np.argwhere(labels == k) for k in range(1, count + 1)),
+                   key=lambda pixels: tuple(pixels[0]))
+    links = []
+    for k, own in enumerate(parts):
+        i, j = (int(v) for v in own[0])
+        for m, other in enumerate(parts):
+            if m != k:
+                dist = (other[:, 0] - i) ** 2 + (other[:, 1] - j) ** 2
+                b = int(np.argmin(dist))
+                links.append((int(dist[b]), k, m, (i, j), tuple(int(v) for v in other[b])))
+    return count, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fragment_links_match_a_labelling(data):
+    shape = (data.draw(st.integers(1, 20), label="rows"),
+             data.draw(st.integers(1, 20), label="cols"))
+    bitmap = data.draw(arrays(np.bool_, shape), label="bitmap")
+    count, links = _reference_links(bitmap)
+    assert _fragment_links(bitmap, count) == (count, links)
+    assert _fragment_links(bitmap.T, 400) == _reference_links(bitmap.T)
+    if count:
+        assert _fragment_links(bitmap, count - 1) is None
+
+
+def test_fragment_links_on_sliver_rasters(triangle):
+    tube = Tube(triangle)
+    for anchor, direction in _SLIVER_LINES.values():
+        window = _content_window(tube, anchor, direction)
+        for resolution in (512, 1024):
+            bitmap = rasterize_line(tube, anchor, direction, resolution=resolution,
+                                    window=window).bitmap
+            count, links = _reference_links(bitmap)
+            if resolution == 512:
+                assert count > 1  # every sliver line fragments at 512 px
+            assert _fragment_links(bitmap, count) == (count, links)
 
 
 # ---------- verifiers pass on honest domains ---------------------------------------
