@@ -16,7 +16,10 @@ seeds ``seed`` to ``seed + 9``.
 The JSON file holds, per workload and end-to-end metric, every pair's
 values, the median and quartiles of each side and how many pairs the
 change won (the direction comes from the change's ``BENCHMARK.json``);
-the Tier-1 wall time and pass counts of each side; each acceptance
+per workload and side, ``kind_ms``: for each op kind, the median over the
+pairs of each run's median latency of that kind in ms (the run record's
+``details.median_ms_by_kind`` in ``.perfbench-out/``, unscaled); the
+Tier-1 wall time and pass counts of each side; each acceptance
 criterion's wall time on each side (the call phase, from ``pytest
 --durations=0 tests/test_acceptance.py``); and the machine: the number of
 CPUs and the Python, NumPy and SciPy versions.
@@ -49,13 +52,18 @@ def revision(root):
 
 
 def perfbench(root, workload, seed, seconds):
-    """The last-line JSON result of one perfbench run in ``root``."""
+    """The last-line JSON result of one perfbench run in ``root``, with the
+    per-kind median latencies (ms) of its run record as ``kind_ms``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench failed in {root}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = os.path.join(root, ".perfbench-out", f"{workload}-seed{seed}-trace0.json")
+    with open(record) as fh:
+        result["kind_ms"] = json.load(fh)["details"]["median_ms_by_kind"]
+    return result
 
 
 def pytest(root, cmd):
@@ -105,6 +113,15 @@ def summarize(pairs, better):
     return out
 
 
+def kind_medians(pairs, side):
+    """Per op kind, the median over the pairs of one side's per-run
+    median latencies in ms."""
+    runs = [p[side]["kind_ms"] for p in pairs]
+    kinds = sorted({kind for run in runs for kind in run})
+    return {kind: statistics.median(run[kind] for run in runs if kind in run)
+            for kind in kinds}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="root of the parent checkout")
@@ -131,7 +148,11 @@ def main(argv=None):
             ops = {side: pair[side]["metrics"]["ops_per_s"]["value"] for side in roots}
             print(f"{workload} seed {seed}: ops_per_s parent {ops['parent']:.4g} "
                   f"change {ops['change']:.4g}", flush=True)
-        workloads[workload] = {"summary": summarize(pairs, better), "runs": pairs}
+        workloads[workload] = {
+            "summary": summarize(pairs, better),
+            "kind_ms": {side: kind_medians(pairs, side) for side in roots},
+            "runs": pairs,
+        }
 
     result = {
         "harness": f"perfbench/run.py --trace 0 --seconds {seconds:g}",

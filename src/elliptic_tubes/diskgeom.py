@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import RealInputError
 
 REAL_AXIS_TOL = 1e-12
@@ -67,6 +69,30 @@ def geodesic_foot(w, tol=REAL_AXIS_TOL):
         radius = math.sqrt(center * center - 1.0)
         foot = center - math.copysign(radius, center)
     return foot, poincare_distance(w, foot)
+
+
+def geodesic_foot_rows(w_re, w_im, tol=REAL_AXIS_TOL):
+    """:func:`geodesic_foot` of the points ``w_re + i w_im`` of two (B,)
+    arrays, each rounded as the one-point call rounds it: ``(foot, dist)``.
+    Raises as the one-point call raises when any point would."""
+    modulus = np.hypot(w_re, w_im)  # abs() of a Python complex
+    if not np.all(modulus < 1.0):
+        raise ValueError("geodesic_foot needs a point inside the disk")
+    if np.any(np.abs(w_im) <= tol * (1.0 + modulus)):
+        raise RealInputError("the projection of a real point is itself")
+    # float ** 2 calls libm pow, which does not always round as r * r does
+    square = np.array([r ** 2 for r in modulus.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = (square + 1.0) / (2.0 * w_re)
+        radius = np.sqrt(center * center - 1.0)
+        foot = np.where(np.abs(w_re) <= tol, 0.0, center - np.copysign(radius, center))
+    # poincare_distance(w, foot), its complex products written out
+    num = np.hypot(w_re - foot, w_im)
+    den = np.hypot(1.0 - w_re * foot, w_im * foot)
+    if np.any(num >= den):
+        raise ValueError("poincare distance needs both points inside the disk")
+    # math.atanh, as poincare_distance takes it: np.arctanh rounds differently
+    return foot, np.array([math.atanh(r) for r in (num / den).tolist()])
 
 
 def point_at_distance(base, dist, upper=True):

@@ -30,6 +30,8 @@ from .projective import (
     Functional,
     HPoint,
     RealLine,
+    _affine,
+    _rowdot,
     cross_ratio_rows,
     normalize_lifts,
     row_norms,
@@ -44,27 +46,10 @@ _DRAW_BUDGET = 1 << 26
 _BLOCK_ROWS = 2048
 
 
-def _rowdot(mat, vecs):
-    """``mat @ v`` for every row ``v`` of a (B, k) array, as a (B, m) array.
-
-    The stacked product makes one matrix-vector product per row, so every
-    row is rounded exactly as ``mat @ v`` alone would be: a batched call and
-    a one-row call agree bit for bit.
-    """
-    return (mat @ vecs[:, :, None])[:, :, 0]
-
-
 def _quadratic(vecs, shape, others):
     """``v @ shape @ w`` for paired rows of two (B, n) arrays, rounded as
     the one-row expression is."""
     return ((vecs[:, None, :] @ shape) @ others[:, :, None])[:, 0, 0]
-
-
-def _affine(points):
-    """Rows ``(x, 1)``: the chart lifts of a (B, n) array of points."""
-    lifts = np.ones((len(points), points.shape[1] + 1))
-    lifts[:, :-1] = points
-    return lifts
 
 
 def box_rejection(rng, count, lo, hi, accept, label):

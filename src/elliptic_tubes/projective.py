@@ -59,6 +59,26 @@ def _dots(rows):
     return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
+def _rowdot(mat, vecs):
+    """``mat @ v`` for every row ``v`` of a (B, k) array, as a (B, m) array.
+
+    The stacked product makes one matrix-vector product per row, so every
+    row is rounded exactly as ``mat @ v`` alone would be: a batched call and
+    a one-row call agree bit for bit.
+    """
+    return (mat @ vecs[:, :, None])[:, :, 0]
+
+
+def _affine(points, last=1.0):
+    """Rows ``(x, last)`` of a (B, n) array: ``np.append(x, last)`` of each
+    row, complex where the points are."""
+    lifts = np.empty((len(points), points.shape[1] + 1),
+                     dtype=np.complex128 if points.dtype.kind == "c" else np.float64)
+    lifts[:, :-1] = points
+    lifts[:, -1] = last
+    return lifts
+
+
 def row_norms(rows):
     """``np.linalg.norm(row)`` of every row of a real or complex (B, k)
     array, rounded as the one-row call."""
@@ -340,6 +360,11 @@ class Chart:
         x = np.asarray(x)
         return self.inverse @ np.append(x, 1.0)
 
+    def lift_rows(self, x):
+        """:meth:`lift` of every row of a (B, n) real or complex array, each
+        row rounded as the one-point call rounds it."""
+        return _rowdot(self.inverse, _affine(x))
+
     def direction_lift(self, w):
         """Lift of a chart direction (a point on the hyperplane at infinity)."""
         w = np.asarray(w)
@@ -535,3 +560,17 @@ def pushforward(amap, chart, x, w):
     y_chart = chart.basis_values(y_lift) / h
     dy_lift = amap.matrix @ chart.direction_lift(w)
     return (chart.basis_values(dy_lift) - y_chart * chart.infinity(dy_lift)) / h
+
+
+def pushforward_rows(amap, chart, x, w):
+    """:func:`pushforward` at the paired rows of two (B, n) arrays, each row
+    rounded as the one-point call rounds it.  Raises InfinityError when any
+    row's image lies at infinity."""
+    y_lift = _rowdot(amap.matrix, chart.lift_rows(x))
+    h = _rowdot(chart.matrix[-1:], y_lift)
+    scale = row_norms(y_lift) * np.linalg.norm(chart.matrix[-1])
+    if np.any(np.abs(h[:, 0]) <= 1e-12 * scale):
+        raise InfinityError("image point lies at infinity in this chart")
+    y_chart = _rowdot(chart.matrix[:-1], y_lift) / h
+    dy_lift = _rowdot(amap.matrix, _rowdot(chart.inverse, _affine(w, 0.0)))
+    return (_rowdot(chart.matrix[:-1], dy_lift) - y_chart * _rowdot(chart.matrix[-1:], dy_lift)) / h

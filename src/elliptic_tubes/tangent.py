@@ -8,15 +8,24 @@ onto the tangent bundle of the base (real points map to the zero section).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diskgeom import geodesic_foot, point_at_distance
-from .errors import NotInteriorError
-from .tube import Tube
+from .errors import EmptySliceError, NotInteriorError, ZeroDirectionError
+from .projective import row_norms
+from .tube import Tube, _disk_foot
 
-__all__ = ["TangentVector", "geodesic_foot", "to_tangent", "from_tangent"]
+__all__ = [
+    "TangentVector",
+    "geodesic_foot",
+    "to_tangent",
+    "to_tangent_rows",
+    "from_tangent",
+    "from_tangent_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,29 @@ def to_tangent(tube: Tube, z) -> TangentVector:
     disk = tube.slice_disk(z)
     tau = disk.coord(tube.chart_complex(z))
     w = disk.to_unit_disk(tau)
-    foot_disk, dist = geodesic_foot(w)
+    foot_disk, dist = _disk_foot(w)
     base = disk.point(disk.from_unit_disk(foot_disk)).real
     sign = 1.0 if w.imag > 0.0 else -1.0
     return TangentVector(base, sign * disk.direction, dist)
+
+
+def to_tangent_rows(tube: Tube, zeta):
+    """:func:`to_tangent` of every row of a (B, n) complex chart array, each
+    row rounded as the one-point call rounds it: ``(base, direction,
+    magnitude)``, two (B, n) arrays and a (B,) array.  Raises as the
+    one-point call raises when any row would."""
+    x, y, real = tube._split_rows(zeta)
+    if not tube.base.contains_rows(x[real]).all():
+        raise NotInteriorError("real points must lie inside the base")
+    base = x.copy()
+    direction = np.zeros_like(x)
+    magnitude = np.zeros(len(x))
+    if not real.all():
+        unit, w_im, foot, dist = tube._slice_foot_rows(x[~real], y[~real])
+        base[~real] = foot
+        direction[~real] = np.where(w_im > 0.0, 1.0, -1.0)[:, None] * unit
+        magnitude[~real] = dist
+    return base, direction, magnitude
 
 
 def from_tangent(tube: Tube, vector: TangentVector):
@@ -88,3 +116,44 @@ def from_tangent(tube: Tube, vector: TangentVector):
     w = point_at_distance(anchor, vector.magnitude, upper=True)
     tau = disk.from_unit_disk(w)
     return disk.point(tau)
+
+
+def from_tangent_rows(tube: Tube, base, direction, magnitude):
+    """:func:`from_tangent` of the vectors given by the rows of two (B, n)
+    arrays and a (B,) array of magnitudes, each row rounded as the one-point
+    call rounds it: a (B, n) complex chart array.  Raises as the one-point
+    call raises when any row would."""
+    base = np.asarray(base, dtype=np.float64)
+    magnitude = np.asarray(magnitude, dtype=np.float64)
+    if not tube.base.contains_rows(base).all():
+        raise NotInteriorError("the base point must lie inside the domain")
+    out = base.astype(np.complex128)
+    moving = magnitude != 0.0
+    x0, mag = base[moving], magnitude[moving]
+    unit = np.asarray(direction, dtype=np.float64)[moving]
+    norm = row_norms(unit)
+    if not np.all(norm > 0.0):
+        raise ZeroDirectionError("line direction must be nonzero")
+    unit = unit / norm[:, None]
+    a, b, ok = tube.base.clip_lines(x0, unit)
+    if not ok.all():
+        raise EmptySliceError("the line does not meet the base domain")
+    length = b - a
+    anchor = (0.0 - (a + b)) / length  # SliceDisk.to_unit_disk(0.0)
+    if np.any(mag < 0.0):
+        raise ValueError("distance must be nonnegative")
+    if not np.all(np.abs(anchor) < 1.0):
+        raise ValueError("automorphism base must sit inside the disk")
+    # point_at_distance: the disk automorphism's inverse at i tanh(d),
+    # (i t + c) / (1 + c i t), divided out as Python divides complex numbers
+    t = np.array([math.tanh(d) for d in mag.tolist()])
+    ratio = anchor * t
+    denom = 1.0 + ratio * ratio
+    w_re = (anchor + t * ratio) / denom
+    w_im = (t - anchor * ratio) / denom
+    # SliceDisk.from_unit_disk, then SliceDisk.point
+    t_re = 0.5 * (length * w_re + (a + b))
+    t_im = 0.5 * (length * w_im)
+    out.real[moving] = x0 + t_re[:, None] * unit
+    out.imag[moving] = 0.0 + t_im[:, None] * unit
+    return out

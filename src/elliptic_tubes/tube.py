@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diskgeom import distance_from_angle, geodesic_foot, poincare_distance
+from .diskgeom import (
+    distance_from_angle,
+    geodesic_foot,
+    geodesic_foot_rows,
+    poincare_distance,
+)
 from .domains import ConvexDomain, HDomain, box_rejection
 from .errors import (
     EmptySliceError,
@@ -128,6 +133,15 @@ class Tube:
             return x, np.zeros_like(y), True
         return x, y, False
 
+    def _split_rows(self, zeta):
+        """``(x, y, is_real)`` of every row of a (B, n) complex chart array:
+        contiguous copies of the real and imaginary parts, as
+        :meth:`_split` copies them, and the reality flags of its band."""
+        zeta = np.asarray(zeta, dtype=np.complex128)
+        x = np.ascontiguousarray(zeta.real)
+        y = np.ascontiguousarray(zeta.imag)
+        return x, y, _real_rows(x, y)
+
     def hpoint(self, zeta):
         """HPoint of complex chart coordinates."""
         zeta = np.asarray(zeta, dtype=np.complex128)
@@ -153,11 +167,8 @@ class Tube:
         the reality band of :meth:`_split`, then the base test for real
         rows and the slice test for the others, each row rounded as the
         one-point call rounds it."""
-        zeta = np.asarray(zeta, dtype=np.complex128)
-        x = np.ascontiguousarray(zeta.real)
-        y = np.ascontiguousarray(zeta.imag)
-        real = _real_rows(x, y)
-        inside = np.empty(len(zeta), dtype=bool)
+        x, y, real = self._split_rows(zeta)
+        inside = np.empty(len(x), dtype=bool)
         inside[real] = self.base.contains_rows(x[real])
         if not real.all():
             speed, a, b, ok = self._trace_clips(x[~real], y[~real])
@@ -249,6 +260,24 @@ class Tube:
             raise OutsideTubeError("point lies outside the closed tube")
         return math.atan2(p_plus + p_minus, 1.0 - prod)
 
+    def u_value_rows(self, zeta):
+        """:meth:`u_value` of every row of a (B, n) complex chart array, each
+        row rounded as the one-point call rounds it."""
+        x, y, real = self._split_rows(zeta)
+        if not self.base.contains_rows(x).all():
+            raise NotInteriorError("the real part must lie inside the base")
+        p_plus = np.zeros(len(x))
+        p_minus = np.zeros(len(x))
+        if not real.all():
+            speed, a, b, _ = self._trace_clips(x[~real], y[~real])
+            p_plus[~real], p_minus[~real] = _gauge_pair(speed, a, b)
+        prod = p_plus * p_minus
+        if np.any(prod >= 1.0 + 1e-12):
+            raise OutsideTubeError("point lies outside the closed tube")
+        # math.atan2, as the one-point call takes it: np.arctan2 rounds differently
+        return np.array([math.atan2(s, c) for s, c in
+                         zip((p_plus + p_minus).tolist(), (1.0 - prod).tolist())])
+
     def core_distance(self, z):
         """Kobayashi distance to the real core and the nearest core point.
 
@@ -268,9 +297,51 @@ class Tube:
         dist = distance_from_angle(u)
         disk = self.slice_disk(z)
         w = disk.to_unit_disk(disk.coord(self.chart_complex(z)))
-        foot_disk, _ = geodesic_foot(w)
+        foot_disk, _ = _disk_foot(w)
         foot = disk.point(disk.from_unit_disk(foot_disk)).real
         return dist, foot
+
+    def core_distance_rows(self, zeta):
+        """:meth:`core_distance` of every row of a (B, n) complex chart
+        array, each row rounded as the one-point call rounds it: ``(dist,
+        foot)``, a (B,) and a (B, n) array.  Raises as the one-point call
+        raises when any row would."""
+        # a real row has u = 0, and distance_from_angle(0.0) is 0.0
+        dist = np.array([distance_from_angle(u) for u in self.u_value_rows(zeta).tolist()])
+        x, y, real = self._split_rows(zeta)
+        foot = x.copy()
+        if not real.all():
+            foot[~real] = self._slice_foot_rows(x[~real], y[~real])[2]
+        return dist, foot
+
+    def _slice_foot_rows(self, x, y):
+        """The slice geometry of the non-real points x + iy, rows of (B, n)
+        arrays, each row rounded as :meth:`slice_disk`,
+        :meth:`SliceDisk.coord`, :meth:`SliceDisk.to_unit_disk` and
+        :func:`_disk_foot` round one point: ``(direction, w_im, foot,
+        dist)``, the slice's unit chart direction, the imaginary part of the
+        point's unit-disk coordinate, the nearest core point and the
+        Poincare distance to it."""
+        direction = y / row_norms(y)[:, None]
+        a, b, ok = self.base.clip_lines(x, direction)
+        if not ok.all():
+            raise EmptySliceError("the line does not meet the base domain")
+        # SliceDisk.coord: the point minus x0 = x is exactly 0 + iy, and its
+        # line coordinate the complex dot product with the direction
+        offset = np.zeros(y.shape, dtype=np.complex128)
+        offset.imag = y
+        tau = (offset[:, None, :] @ direction[:, :, None])[:, 0, 0]
+        t_re, t_im = tau.real, tau.imag
+        # a coordinate inside coord's reality band comes back real
+        t_im = np.where(np.abs(t_im) <= _REAL_BAND * (1.0 + np.hypot(t_re, t_im)), 0.0, t_im)
+        length = b - a
+        w_re = (2.0 * t_re - (a + b)) / length
+        w_im = 2.0 * t_im / length
+        if not np.all(np.hypot(w_re, w_im) < 1.0):
+            raise OutsideTubeError(_OFF_DISK)
+        foot_disk, dist = geodesic_foot_rows(w_re, w_im)
+        foot = x + (0.5 * (length * foot_disk + (a + b)))[:, None] * direction
+        return direction, w_im, foot, dist
 
     def boundary_classify(self, z, band=1e-8):
         """Interior / Exterior / RealBoundary / ComplexBoundary with a
@@ -427,6 +498,17 @@ class Tube:
 
     def __repr__(self):
         return f"Tube(base={self.base!r})"
+
+
+_OFF_DISK = "point lies outside the open tube"
+
+
+def _disk_foot(w):
+    """:func:`geodesic_foot` of a slice point's unit-disk coordinate w: a
+    point off the open unit disk lies off the open tube."""
+    if not abs(w) < 1.0:
+        raise OutsideTubeError(_OFF_DISK)
+    return geodesic_foot(w)
 
 
 def _real_rows(x, y):

@@ -21,10 +21,17 @@ from . import _kernels
 from .domains import ConvexDomain, HDomain
 from .duality import _violating_pair, dual_tube, tube_separator
 from .errors import DegenerateError, RepresentationError, ZeroDirectionError
-from .projective import Functional, HPoint, normalize_lifts, pushforward, row_norms
+from .projective import (
+    Functional,
+    HPoint,
+    _rowdot,
+    normalize_lifts,
+    pushforward_rows,
+    row_norms,
+)
 from .quotients import _preserves
 from .report import VerifierReport
-from .tangent import TangentVector, from_tangent, to_tangent
+from .tangent import from_tangent_rows, to_tangent_rows
 from .tube import Tube
 
 _EIGHT = np.ones((3, 3), dtype=int)
@@ -704,7 +711,10 @@ def verify_metric_consistency(domain: ConvexDomain, n_pairs=300, seed=0,
     A real pair's routes differ by ``err = |h - route| / max(1, h)``, and
     the pair fails when ``err max(1, h) >= tol max(1, h) + c u kappa``, with
     u the unit roundoff and kappa the route's condition number
-    (:func:`_route_conditions`); the report shows ``err`` itself.
+    (:func:`_route_conditions`); the report shows ``err`` itself.  Every
+    route, and the angle check's :meth:`Tube.u_value_rows` and
+    :meth:`Tube.core_distance_rows`, runs once on all its samples, each row
+    rounded as the one-point call rounds it.
     """
     tube = Tube(domain)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -735,14 +745,14 @@ def verify_metric_consistency(domain: ConvexDomain, n_pairs=300, seed=0,
                 report.record(f"{message} at {x[i]}, {y[i]}", diff / scale[i])
     # boundary angle vs core distance on non-real points
     zs = tube.sample_points(rng, max(1, n_pairs // 3))
-    for z in zs:
-        x = z.real
-        if np.linalg.norm(z.imag) < 1e-9:
-            report.skipped += 1
-            continue
-        report.samples_run += 1
-        u = tube.u_value(z)
-        d, _ = tube.core_distance(z)
+    drawn = len(zs)
+    zs = zs[~(row_norms(np.ascontiguousarray(zs.imag)) < 1e-9)]
+    report.skipped += drawn - len(zs)
+    report.samples_run += len(zs)
+    angles = tube.u_value_rows(zs).tolist()
+    dists = tube.core_distance_rows(zs)[0].tolist()
+    for z, u, d in zip(zs, angles, dists):
+        # the NumPy scalar calls of the one-point check, as they round
         err = abs(u - 2.0 * np.arctan(np.tanh(d)))
         report.observe(err)
         if err >= max(tol, 1e-9):
@@ -762,6 +772,22 @@ def verify_homeomorphism(domain: ConvexDomain, n_samples=200, seed=0,
     Round trips point -> vector -> point and vector -> point -> vector must
     return to the start; conjugation of points negates vectors; the zero
     section is the real base; validated group elements act equivariantly.
+
+    Each check runs once over all its points through the row forms
+    (:func:`to_tangent_rows`, :func:`from_tangent_rows`,
+    :meth:`Tube.core_distance_rows`, :func:`pushforward_rows`), which round
+    every row as the one-point calls round it; the report, violations in
+    their per-point order, is that of checking one point at a time.  The
+    checks after the point round trip run only on the points that passed
+    it, and a group element skips the points whose image or base image
+    lies at chart infinity.  The vector round trip draws its samples in the
+    one-point loop, a base from ``sample_interior(rng, 1)`` and then its
+    direction and magnitude from ``rng.normal``, so that the generator
+    stream, and with it every fixed-seed report, stays as it was; only the
+    maps after the draws are batched.  A stage raises when one of its
+    points raises in its one-point call; when several points would raise
+    at different stages, the error can be another than the first one the
+    one-point loop met.
     """
     tube = Tube(domain)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -775,85 +801,95 @@ def verify_homeomorphism(domain: ConvexDomain, n_samples=200, seed=0,
         if not _preserves(domain, g):
             raise RepresentationError("a group element does not preserve the domain")
     zs = tube.sample_points(rng, n_samples)
-    for z in zs:
-        report.samples_run += 1
-        vec = to_tangent(tube, z)
-        back = tube.chart_complex(from_tangent(tube, vec))
-        err = float(np.linalg.norm(back - z))
+    report.samples_run += len(zs)
+    base, direction, magnitude = to_tangent_rows(tube, zs)
+    trip = row_norms(from_tangent_rows(tube, base, direction, magnitude) - zs)
+    # the later checks see the points whose round trip held (or gave NaN)
+    kept = ~(trip >= tol)
+    zk, base, direction, magnitude = zs[kept], base[kept], direction[kept], magnitude[kept]
+    # conjugation negates the vector
+    c_base, c_direction, c_magnitude = to_tangent_rows(tube, np.conj(zk))
+    conj_err = (row_norms(c_base - base) + row_norms(c_direction + direction)
+                + np.abs(c_magnitude - magnitude))
+    # the foot agrees with the core projection
+    dist, foot = tube.core_distance_rows(zk)
+    core_err = np.abs(dist - magnitude) + row_norms(foot - base)
+    group_err = [_equivariance_errors(tube, g, zk, base, direction, magnitude)
+                 for g in group_elements]
+    k = 0
+    for z, err in zip(zs, trip.tolist()):
         report.observe(err)
         if err >= tol:
             report.record(f"point round trip failed at {z}", err)
             continue
-        # conjugation equivariance
-        vec_c = to_tangent(tube, np.conj(z))
-        if vec.magnitude > 1e-12:
-            neg = vec.negated()
-            err = (
-                np.linalg.norm(vec_c.base - neg.base)
-                + np.linalg.norm(vec_c.direction - neg.direction)
-                + abs(vec_c.magnitude - neg.magnitude)
-            )
-            report.observe(err)
-            if err >= max(tol, 1e-8):
-                report.record(f"conjugation is not vector negation at {z}", err)
-        # foot agrees with the core projection
-        d, foot = tube.core_distance(z)
-        err = abs(d - vec.magnitude) + np.linalg.norm(foot - vec.base)
-        report.observe(err)
-        if err >= max(tol, 1e-8):
-            report.record(f"core distance disagrees with the vector at {z}", err)
-        for gi, g in enumerate(group_elements):
-            moved_lift = g.matrix @ tube.chart.lift(vec.base)
-            h = tube.chart.infinity(moved_lift)
-            if abs(h) <= 1e-12 * np.linalg.norm(moved_lift):
-                continue
-            moved_z = g.matrix.astype(complex) @ (
-                tube.chart.inverse @ np.append(z, 1.0)
-            )
-            hz = tube.chart.infinity(moved_z)
-            if abs(hz) <= 1e-12 * np.linalg.norm(moved_z):
-                continue
-            zeta = tube.chart.basis_values(moved_z) / hz
-            vec_g = to_tangent(tube, zeta)
-            base_exp = tube.chart.basis_values(moved_lift) / h
-            dir_exp = pushforward(g, tube.chart, vec.base, vec.direction)
-            dir_exp = dir_exp / np.linalg.norm(dir_exp)
-            err = (
-                np.linalg.norm(vec_g.base - base_exp.real)
-                + min(
-                    np.linalg.norm(vec_g.direction - dir_exp),
-                    np.linalg.norm(vec_g.direction + dir_exp),
-                )
-                + abs(vec_g.magnitude - vec.magnitude)
-            )
-            report.observe(err)
-            if err >= max(tol, 1e-7):
-                report.record(f"element {gi} does not act equivariantly at {z}", err)
+        if magnitude[k] > 1e-12:
+            report.observe(conj_err[k])
+            if conj_err[k] >= max(tol, 1e-8):
+                report.record(f"conjugation is not vector negation at {z}", conj_err[k])
+        report.observe(core_err[k])
+        if core_err[k] >= max(tol, 1e-8):
+            report.record(f"core distance disagrees with the vector at {z}", core_err[k])
+        # NaN marks a skipped point: it is neither observed nor recorded
+        for gi, errs in enumerate(group_err):
+            report.observe(errs[k])
+            if errs[k] >= max(tol, 1e-7):
+                report.record(f"element {gi} does not act equivariantly at {z}", errs[k])
+        k += 1
     # zero section: interior real points map to zero vectors
-    for x in domain.sample_interior(rng, max(1, n_samples // 4)):
-        report.samples_run += 1
-        vec = to_tangent(tube, x.astype(complex))
-        if vec.magnitude != 0.0 or np.linalg.norm(vec.base - x) >= tol:
+    xs = domain.sample_interior(rng, max(1, n_samples // 4))
+    report.samples_run += len(xs)
+    z_base, _, z_magnitude = to_tangent_rows(tube, xs.astype(complex))
+    for x, bad in zip(xs, (z_magnitude != 0.0) | (row_norms(z_base - xs) >= tol)):
+        if bad:
             report.record(f"real point {x} does not map to a zero vector")
     # vector round trip
-    for k in range(max(1, n_samples // 4)):
-        base = domain.sample_interior(rng, 1)[0]
-        direction = rng.normal(size=tube.n)
-        direction /= np.linalg.norm(direction)
-        magnitude = abs(rng.normal(0.0, 0.8)) + 1e-3
-        vec = TangentVector(base=base, direction=direction, magnitude=magnitude)
-        report.samples_run += 1
-        z = tube.chart_complex(from_tangent(tube, vec))
-        back = to_tangent(tube, z)
-        err = (
-            np.linalg.norm(back.base - base)
-            + np.linalg.norm(back.direction - direction)
-            + abs(back.magnitude - magnitude)
-        )
+    count = max(1, n_samples // 4)
+    v_base = np.empty((count, tube.n))
+    v_direction = np.empty((count, tube.n))
+    v_magnitude = np.empty(count)
+    for i in range(count):
+        v_base[i] = domain.sample_interior(rng, 1)[0]
+        drawn = rng.normal(size=tube.n)
+        drawn /= np.linalg.norm(drawn)
+        v_direction[i] = drawn
+        v_magnitude[i] = abs(rng.normal(0.0, 0.8)) + 1e-3
+    report.samples_run += count
+    back = to_tangent_rows(tube, from_tangent_rows(tube, v_base, v_direction, v_magnitude))
+    errs = (row_norms(back[0] - v_base) + row_norms(back[1] - v_direction)
+            + np.abs(back[2] - v_magnitude))
+    for b, err in zip(v_base, errs):
         report.observe(err)
         if err >= max(tol, 1e-8):
-            report.record(f"vector round trip failed at base {base}", err)
+            report.record(f"vector round trip failed at base {b}", err)
     return report
+
+
+def _equivariance_errors(tube: Tube, g, z, base, direction, magnitude):
+    """The equivariance error of the group element g at each point z, with
+    tangent vector ``(base, direction, magnitude)``: the distance between
+    the vector of ``g z`` and the pushforward of the vector (its direction
+    up to sign).  NaN marks a point whose base image or image lies at
+    chart infinity, which the check skips."""
+    chart = tube.chart
+    moved = _rowdot(g.matrix, chart.lift_rows(base))
+    h = _rowdot(chart.matrix[-1:], moved)[:, 0]
+    moved_z = _rowdot(g.matrix.astype(complex), chart.lift_rows(z))
+    h_z = _rowdot(chart.matrix[-1:], moved_z)[:, 0]
+    on = ~((np.abs(h) <= 1e-12 * row_norms(moved))
+           | (np.hypot(h_z.real, h_z.imag) <= 1e-12 * row_norms(moved_z)))
+    errs = np.full(len(z), np.nan)
+    if not on.any():
+        return errs
+    g_base, g_direction, g_magnitude = to_tangent_rows(
+        tube, _rowdot(chart.matrix[:-1], moved_z[on]) / h_z[on, None])
+    base_exp = _rowdot(chart.matrix[:-1], moved[on]) / h[on, None]
+    dir_exp = pushforward_rows(g, chart, base[on], direction[on])
+    dir_exp = dir_exp / row_norms(dir_exp)[:, None]
+    plus = row_norms(g_direction - dir_exp)
+    minus = row_norms(g_direction + dir_exp)
+    errs[on] = (row_norms(g_base - base_exp) + np.where(minus < plus, minus, plus)
+                + np.abs(g_magnitude - magnitude[on]))
+    return errs
 
 
 # ----------------------------------------------------------------------

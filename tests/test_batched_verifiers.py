@@ -1,10 +1,11 @@
 """The batched verifiers against the per-sample loops they replaced.
 
 ``_reference_*`` are the loops of `verify_duality_identity` (its kernel
-half), `verify_exhaustion_monotone` and `verify_metric_consistency` (its
-real-pair half) as they were before their samples were checked in row
-batches; ``_reference_routes`` are the one-pair bodies of the three metric
-routes.  The reports must agree to the byte, violations in the same order.
+half), `verify_exhaustion_monotone`, `verify_metric_consistency` and
+`verify_homeomorphism` as they were before their samples were checked in
+row batches; ``_reference_routes`` are the one-pair bodies of the three
+metric routes.  The reports must agree to the byte, violations in the same
+order.
 """
 
 from pathlib import Path
@@ -14,14 +15,17 @@ import pytest
 from scipy.linalg import null_space
 
 from elliptic_tubes import catalog, verify
-from elliptic_tubes.cli import main
+from elliptic_tubes.cli import _load_setup, build_parser, main
 from elliptic_tubes.diskgeom import poincare_distance
 from elliptic_tubes.domains import ConvexDomain, HDomain
 from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.duality import dual_tube, tube_separator
 from elliptic_tubes.errors import DegenerateError
-from elliptic_tubes.projective import HPoint, ProjectiveMap, row_norms
+from elliptic_tubes.errors import RepresentationError
+from elliptic_tubes.projective import HPoint, ProjectiveMap, pushforward, row_norms
+from elliptic_tubes.quotients import _preserves
 from elliptic_tubes.report import VerifierReport
+from elliptic_tubes.tangent import TangentVector, from_tangent, to_tangent
 from elliptic_tubes.tube import Tube
 from elliptic_tubes.verify import (
     _ROUTE_SLACK,
@@ -29,6 +33,7 @@ from elliptic_tubes.verify import (
     _route_conditions,
     verify_duality_identity,
     verify_exhaustion_monotone,
+    verify_homeomorphism,
     verify_metric_consistency,
 )
 
@@ -172,6 +177,100 @@ def _reference_metric(domain, n_pairs=300, seed=0, tol=1e-10):
     return report
 
 
+def _reference_homeomorphism(domain, n_samples=200, seed=0, tol=1e-9, group_elements=()):
+    tube = Tube(domain)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    report = VerifierReport(
+        name="homeomorphism",
+        tolerance=tol,
+        seed=seed,
+        details={"group_elements": len(group_elements)},
+    )
+    for g in group_elements:
+        if not _preserves(domain, g):
+            raise RepresentationError("a group element does not preserve the domain")
+    zs = tube.sample_points(rng, n_samples)
+    for z in zs:
+        report.samples_run += 1
+        vec = to_tangent(tube, z)
+        back = tube.chart_complex(from_tangent(tube, vec))
+        err = float(np.linalg.norm(back - z))
+        report.observe(err)
+        if err >= tol:
+            report.record(f"point round trip failed at {z}", err)
+            continue
+        # conjugation equivariance
+        vec_c = to_tangent(tube, np.conj(z))
+        if vec.magnitude > 1e-12:
+            neg = vec.negated()
+            err = (
+                np.linalg.norm(vec_c.base - neg.base)
+                + np.linalg.norm(vec_c.direction - neg.direction)
+                + abs(vec_c.magnitude - neg.magnitude)
+            )
+            report.observe(err)
+            if err >= max(tol, 1e-8):
+                report.record(f"conjugation is not vector negation at {z}", err)
+        # foot agrees with the core projection
+        d, foot = tube.core_distance(z)
+        err = abs(d - vec.magnitude) + np.linalg.norm(foot - vec.base)
+        report.observe(err)
+        if err >= max(tol, 1e-8):
+            report.record(f"core distance disagrees with the vector at {z}", err)
+        for gi, g in enumerate(group_elements):
+            moved_lift = g.matrix @ tube.chart.lift(vec.base)
+            h = tube.chart.infinity(moved_lift)
+            if abs(h) <= 1e-12 * np.linalg.norm(moved_lift):
+                continue
+            moved_z = g.matrix.astype(complex) @ (
+                tube.chart.inverse @ np.append(z, 1.0)
+            )
+            hz = tube.chart.infinity(moved_z)
+            if abs(hz) <= 1e-12 * np.linalg.norm(moved_z):
+                continue
+            zeta = tube.chart.basis_values(moved_z) / hz
+            vec_g = to_tangent(tube, zeta)
+            base_exp = tube.chart.basis_values(moved_lift) / h
+            dir_exp = pushforward(g, tube.chart, vec.base, vec.direction)
+            dir_exp = dir_exp / np.linalg.norm(dir_exp)
+            err = (
+                np.linalg.norm(vec_g.base - base_exp.real)
+                + min(
+                    np.linalg.norm(vec_g.direction - dir_exp),
+                    np.linalg.norm(vec_g.direction + dir_exp),
+                )
+                + abs(vec_g.magnitude - vec.magnitude)
+            )
+            report.observe(err)
+            if err >= max(tol, 1e-7):
+                report.record(f"element {gi} does not act equivariantly at {z}", err)
+    # zero section: interior real points map to zero vectors
+    for x in domain.sample_interior(rng, max(1, n_samples // 4)):
+        report.samples_run += 1
+        vec = to_tangent(tube, x.astype(complex))
+        if vec.magnitude != 0.0 or np.linalg.norm(vec.base - x) >= tol:
+            report.record(f"real point {x} does not map to a zero vector")
+    # vector round trip
+    for k in range(max(1, n_samples // 4)):
+        base = domain.sample_interior(rng, 1)[0]
+        direction = rng.normal(size=tube.n)
+        direction /= np.linalg.norm(direction)
+        magnitude = abs(rng.normal(0.0, 0.8)) + 1e-3
+        vec = TangentVector(base=base, direction=direction, magnitude=magnitude)
+        report.samples_run += 1
+        z = tube.chart_complex(from_tangent(tube, vec))
+        back = to_tangent(tube, z)
+        err = (
+            np.linalg.norm(back.base - base)
+            + np.linalg.norm(back.direction - direction)
+            + abs(back.magnitude - magnitude)
+        )
+        report.observe(err)
+        if err >= max(tol, 1e-8):
+            report.record(f"vector round trip failed at base {base}", err)
+    return report
+
+
 def _reference_routes(domain, x, y):
     """(Hilbert, tube, cross-ratio) distance of one real pair, through the
     one-pair bodies the row forms replaced."""
@@ -243,6 +342,74 @@ def test_metric_matches_the_per_pair_loop(name, samples):
     for seed in (0, 1):
         want = _reference_metric(domain, n_pairs=samples, seed=seed).to_text()
         assert verify_metric_consistency(domain, n_pairs=samples, seed=seed).to_text() == want
+
+
+def _cli_generators(name):
+    """The group elements that ``check --domain name`` hands the verifier."""
+    return _load_setup(build_parser().parse_args(["check", "--domain", name])).generators
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["cube3", "simplex4"])
+def test_homeomorphism_matches_the_per_point_loop(name):
+    domain = _domain(name)
+    groups = [()] + ([_cli_generators(name)] if name in ("simplex", "halfline") else [])
+    for generators in groups:
+        for seed in (0, 1, 2):
+            for samples in (0, 1, 2, 30):
+                want = _reference_homeomorphism(domain, n_samples=samples, seed=seed,
+                                                group_elements=generators).to_text()
+                got = verify_homeomorphism(domain, n_samples=samples, seed=seed,
+                                           group_elements=generators).to_text()
+                assert got == want
+
+
+def _patch_homeomorphism(monkeypatch, name, scalar, rows):
+    """Sabotage one map of both routes alike: the per-point loop looks it up
+    in this module, the verifier in `verify`."""
+    monkeypatch.setitem(globals(), name, scalar(globals()[name]))
+    monkeypatch.setattr(verify, f"{name}_rows", rows(getattr(verify, f"{name}_rows")))
+
+
+@pytest.mark.parametrize("sabotage", ["round trip", "conjugate", "pushforward"])
+def test_failing_homeomorphism_run_matches_the_loop(monkeypatch, simplex, sabotage):
+    if sabotage == "round trip":
+        # points above the real plane in their first coordinate come back
+        # 1e-6 off
+        def shifted(out):
+            return out + np.where(out.imag[..., :1] > 0.0, 1e-6, 0.0)
+
+        _patch_homeomorphism(monkeypatch, "from_tangent",
+                             lambda f: lambda tube, vec: shifted(f(tube, vec)),
+                             lambda f: lambda tube, *vec: shifted(f(tube, *vec)))
+        message = "point round trip failed"
+    elif sabotage == "conjugate":
+        # a point below the real plane in its first coordinate gets a
+        # magnitude 1e-6 too long, so its conjugate's vector is no negation
+        def longer(z):
+            return 1e-6 * (np.asarray(z).imag[..., 0] < 0.0)
+
+        _patch_homeomorphism(
+            monkeypatch, "to_tangent",
+            lambda f: lambda tube, z: (lambda v: TangentVector(
+                v.base, v.direction, v.magnitude + float(longer(z))))(f(tube, z)),
+            lambda f: lambda tube, z: (lambda v: (v[0], v[1], v[2] + longer(z)))(f(tube, z)))
+        message = "conjugation is not vector negation"
+    else:
+        # the pushed-forward direction has its last component's sign flipped
+        def flipped(out):
+            return out * np.append(np.ones(out.shape[-1] - 1), -1.0)
+
+        _patch_homeomorphism(monkeypatch, "pushforward",
+                             lambda f: lambda *args: flipped(f(*args)),
+                             lambda f: lambda *args: flipped(f(*args)))
+        message = "element 0 does not act equivariantly"
+    generators = _cli_generators("simplex")
+    for seed in (0, 1):
+        want = _reference_homeomorphism(simplex, n_samples=30, seed=seed,
+                                        group_elements=generators)
+        assert any(m.startswith(message) for m in want.violations)
+        got = verify_homeomorphism(simplex, n_samples=30, seed=seed, group_elements=generators)
+        assert got.to_text(max_violations=1000) == want.to_text(max_violations=1000)
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2])

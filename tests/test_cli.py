@@ -51,6 +51,15 @@ def test_map_real_point_zero_vector(capsys):
     assert float(magnitude) == 0.0
 
 
+@pytest.mark.parametrize("z", ["2i", "1i"])
+def test_map_off_the_open_tube_is_geometry_error(capsys, z):
+    # 2i lies outside the closed tube, i on its boundary
+    code, out, err = run(capsys, "map", "--domain", "interval", "--", z)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: point lies outside the open tube"
+
+
 def test_dist_matches_library(capsys, interval):
     code, out, _ = run(capsys, "dist", "--domain", "interval", "0", "0.5")
     assert code == 0
