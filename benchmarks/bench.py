@@ -5,7 +5,8 @@ root, in a fresh interpreter.  The runs come in pairs, one per seed: both
 checkouts run the same workload and seed back to back, and the order
 alternates from pair to pair, so that a drift of the host's speed falls on
 both sides alike.  Then each checkout runs the Tier-1 suite once, and the
-acceptance suite once more to time each criterion.
+acceptance suite ``CRITERIA_RUNS`` more times to time each criterion, the
+sides again alternating which runs first.
 
     python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
 
@@ -19,10 +20,10 @@ change won (the direction comes from the change's ``BENCHMARK.json``);
 per workload and side, ``kind_ms``: for each op kind, the median over the
 pairs of each run's median latency of that kind in ms (the run record's
 ``details.median_ms_by_kind`` in ``.perfbench-out/``, unscaled); the
-Tier-1 wall time and pass counts of each side; each acceptance
-criterion's wall time on each side (the call phase, from ``pytest
---durations=0 tests/test_acceptance.py``); and the machine: the number of
-CPUs and the Python, NumPy and SciPy versions.
+Tier-1 wall time and pass counts of each side; the median and quartiles
+of each acceptance criterion's wall time on each side (the call phase,
+from ``pytest --durations=0 tests/test_acceptance.py``); and the machine:
+the number of CPUs and the Python, NumPy and SciPy versions.
 """
 
 import argparse
@@ -39,6 +40,7 @@ import numpy as np
 import scipy
 
 PAIRS = 10
+CRITERIA_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 CRITERIA = TIER1 + ["--durations=0", "--durations-min=0", "tests/test_acceptance.py"]
@@ -83,11 +85,18 @@ def tier1(root):
     return {"wall_s": wall, "exit": proc.returncode, **counts}
 
 
-def criterion_walls(root):
-    """Each acceptance criterion's call time in seconds, by test name."""
-    out = pytest(root, CRITERIA).stdout
-    return {name: float(sec) for sec, name in
-            re.findall(r"([\d.]+)s call +tests/test_acceptance\.py::(\w+)", out)}
+def criterion_walls(roots):
+    """Per side and acceptance criterion (by test name), the spread of its
+    call time in seconds over ``CRITERIA_RUNS`` runs, the sides taking
+    turns to run first."""
+    walls = {side: {} for side in roots}
+    for i in range(CRITERIA_RUNS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            out = pytest(roots[side], CRITERIA).stdout
+            for sec, name in re.findall(r"([\d.]+)s call +tests/test_acceptance\.py::(\w+)", out):
+                walls[side].setdefault(name, []).append(float(sec))
+    return {side: {name: spread(runs) for name, runs in times.items()}
+            for side, times in walls.items()}
 
 
 def spread(values):
@@ -166,7 +175,7 @@ def main(argv=None):
         },
         "workloads": workloads,
         "tier1": {side: tier1(root) for side, root in roots.items()},
-        "criterion_walls_s": {side: criterion_walls(root) for side, root in roots.items()},
+        "criterion_walls_s": criterion_walls(roots),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -178,8 +187,8 @@ def main(argv=None):
     print("tier1 " + json.dumps(result["tier1"]))
     walls = result["criterion_walls_s"]
     for name in sorted(walls["change"]):
-        print(f"{name:<50} parent {walls['parent'].get(name, float('nan')):<8.3g} "
-              f"change {walls['change'][name]:.3g}")
+        par = walls["parent"].get(name, {}).get("median", float("nan"))
+        print(f"{name:<50} parent {par:<8.3g} change {walls['change'][name]['median']:.3g}")
     return 0
 
 

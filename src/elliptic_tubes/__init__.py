@@ -60,7 +60,6 @@ from .errors import (
     RealInputError,
     RealPointError,
     RepresentationError,
-    ResolutionError,
     UnsupportedConfigurationError,
     ValidationError,
     ZeroDirectionError,

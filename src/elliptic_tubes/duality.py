@@ -51,65 +51,54 @@ class DualDomain:
     primal: ConvexDomain
 
 
+def _dual_domain(domain: ConvexDomain, chart: Chart, rep) -> DualDomain:
+    """The dual complement ``rep`` in the dual chart, with its reference
+    point the primal chart's hyperplane at infinity."""
+    reference = chart.to_chart(HPoint(domain.chart.matrix[-1]))
+    dual = ConvexDomain(rep, chart=chart, reference_point=reference)
+    return DualDomain(domain=dual, primal=domain)
+
+
+def _dual_point(chart: Chart, xi):
+    """A functional's dual-chart coordinates, or None within ``1e-12 |xi|``
+    of the dual chart's hyperplane at infinity."""
+    h = chart.infinity(xi)
+    if abs(h) <= 1e-12 * np.linalg.norm(xi):
+        return None
+    return chart.basis_values(xi) / h
+
+
 def dual_complement(domain: ConvexDomain) -> DualDomain:
     """Dual complement of a V-polytope: the H-domain in the dual space whose
     functionals are the vertex lifts (chart-infinity component one)."""
     if not isinstance(domain.rep, VPolytope):
         raise RepresentationError("dual_complement expects a V-polytope")
-    chart = dual_chart(domain)
-    lifts = [domain.chart.lift(v) for v in domain._verts]
-    rep = HDomain(tuple(Functional(lift) for lift in lifts))
-    reference = chart.to_chart(HPoint(domain.chart.matrix[-1]))
-    dual = ConvexDomain(rep, chart=chart, reference_point=reference)
-    return DualDomain(domain=dual, primal=domain)
-
-
-def _prune_redundant_rows(rows, box, tol=1e-9):
-    """Indices of rows that actually support the region {g . (x,1) > 0}.
-
-    A strict-interior feasibility test per row: the row is redundant when no
-    point satisfies all the others strictly while violating it strictly.
-    """
-    from scipy.optimize import linprog
-
-    n = rows.shape[1] - 1
-    lo, hi = box
-    keep = []
-    for k in range(len(rows)):
-        # variables (x, t); maximize t
-        a_ub = []
-        b_ub = []
-        for j in range(len(rows)):
-            if j == k:
-                continue
-            a_ub.append(np.append(-rows[j, :n], 1.0))
-            b_ub.append(rows[j, n])
-        a_ub.append(np.append(rows[k, :n], 1.0))
-        b_ub.append(-rows[k, n])
-        bounds = [(lo[i] - 1.0, hi[i] + 1.0) for i in range(n)] + [(None, 1.0)]
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), bounds=bounds, method="highs")
-        if res.success and -res.fun > tol:
-            keep.append(k)
-    return keep
+    rep = HDomain(tuple(Functional(domain.chart.lift(v)) for v in domain._verts))
+    return _dual_domain(domain, dual_chart(domain), rep)
 
 
 def dual_complement_h(domain: ConvexDomain) -> DualDomain:
     """Dual complement of an H-domain: the V-polytope in the dual space
-    whose vertices are the irredundant functionals."""
+    spanned by the functionals.  Its vertices are the functionals that
+    support the domain, the extreme points of their hull in the dual chart;
+    they keep their order in the domain's rows."""
     if not isinstance(domain.rep, HDomain):
         raise RepresentationError("dual_complement_h expects an H-domain")
     chart = dual_chart(domain)
-    rows = domain.rows()
-    keep = _prune_redundant_rows(rows, domain.bbox)
+    points = [HPoint(domain.chart.matrix.T @ g) for g in domain.rows()]
+    coords = np.vstack([chart.to_chart(p) for p in points])
+    if domain.n == 1:
+        keep = np.unique([coords.argmin(), coords.argmax()])
+    else:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            keep = np.sort(ConvexHull(coords).vertices)
+        except QhullError:
+            keep = ()
     if len(keep) < domain.n + 1:
-        raise DegenerateError("too few supporting functionals after pruning")
-    lifts = [domain.chart.matrix.T @ rows[k] for k in keep]
-    rep = VPolytope(tuple(HPoint(lift) for lift in lifts))
-    reference = chart.to_chart(HPoint(domain.chart.matrix[-1]))
-    dual = ConvexDomain(rep, chart=chart, reference_point=reference)
-    return DualDomain(domain=dual, primal=domain)
+        raise DegenerateError("too few supporting functionals")
+    return _dual_domain(domain, chart, VPolytope(tuple(points[k] for k in keep)))
 
 
 def dual_complement_ellipsoid(domain: ConvexDomain) -> DualDomain:
@@ -226,14 +215,8 @@ def tangent_set_sample(domain: ConvexDomain, a, n_samples=200, seed=0):
     if basis.shape[1] < 1:
         raise DegenerateError("annihilator parametrization failed")
 
-    def chart_of(xi):
-        h = dchart.infinity(xi)
-        if abs(h) <= 1e-12 * np.linalg.norm(xi):
-            return None
-        return dchart.basis_values(xi) / h
-
     def defect(xi):
-        eta = chart_of(xi)
+        eta = _dual_point(dchart, xi)
         if eta is None:
             return 1.0
         return dual_t.violation(eta)
@@ -254,7 +237,7 @@ def tangent_set_sample(domain: ConvexDomain, a, n_samples=200, seed=0):
         xi = basis[:, 0]
         sample = TangentFunctionalSample(starts=1)
         if defect(xi) <= _CLOSED_SLACK:
-            eta = chart_of(xi)
+            eta = _dual_point(dchart, xi)
             sample.members = [Functional(xi)]
             sample.coords = np.array([np.concatenate([eta.real, eta.imag])])
             sample.converged = 1
@@ -280,7 +263,7 @@ def tangent_set_sample(domain: ConvexDomain, a, n_samples=200, seed=0):
         value = defect(xi)
         if value <= _CLOSED_SLACK:
             converged += 1
-            eta = chart_of(xi)
+            eta = _dual_point(dchart, xi)
             members.append(Functional(xi))
             coords.append(np.concatenate([eta.real, eta.imag]))
     sample = TangentFunctionalSample(
@@ -300,9 +283,5 @@ def closed_dual_membership(domain: ConvexDomain, xi, slack=_CLOSED_SLACK):
     """Whether a functional lies in the closed dual tube (with slack)."""
     dual_t, _ = dual_tube(domain)
     coeffs = xi.coeffs if isinstance(xi, Functional) else np.asarray(xi)
-    chart = dual_t.chart
-    h = chart.infinity(coeffs)
-    if abs(h) <= 1e-12 * np.linalg.norm(coeffs):
-        return False
-    eta = chart.basis_values(coeffs) / h
-    return dual_t.violation(eta) <= slack
+    eta = _dual_point(dual_t.chart, coeffs)
+    return eta is not None and dual_t.violation(eta) <= slack

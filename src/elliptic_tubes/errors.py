@@ -57,10 +57,6 @@ class ZeroDirectionError(GeometryError):
     """A direction vector is zero where a nonzero one is required."""
 
 
-class ResolutionError(GeometryError):
-    """A raster window or resolution cannot represent the requested region."""
-
-
 class GroupValidationError(GeometryError):
     """A purported symmetry does not preserve the domain."""
 

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .domains import ConvexDomain, HDomain
-from .duality import _violating_pair, dual_tube, tube_separator
+from .duality import _dual_point, _violating_pair, dual_tube, tube_separator
 from .errors import DegenerateError, RepresentationError, ZeroDirectionError
 from .projective import (
     Functional,
@@ -35,6 +35,8 @@ from .tangent import from_tangent_rows, to_tangent_rows
 from .tube import Tube
 
 _EIGHT = np.ones((3, 3), dtype=int)
+# the conservative window's half width over the coordinate bound W
+_WINDOW_MARGIN = 1.1
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +71,7 @@ class SliceRaster:
         return self.anchor + w * self.direction
 
 
-def _auto_window(tube: Tube, anchor, direction, margin):
+def _auto_window(tube: Tube, anchor, direction):
     """A square window certain to contain the whole slice region.
 
     Every tube point is coordinate-bounded; solving ``|anchor_j + w dir_j|
@@ -88,7 +90,7 @@ def _auto_window(tube: Tube, anchor, direction, margin):
             best = min(best, (abs(anchor[j]) + bound[j]) / dj)
     if not np.isfinite(best):
         raise ZeroDirectionError("direction vanishes in every coordinate")
-    w = margin * best
+    w = _WINDOW_MARGIN * best
     return ((-w, w), (-w, w))
 
 
@@ -96,7 +98,7 @@ def _content_window(tube: Tube, anchor, direction, window=None,
                     probe_resolution=256, pad=3, rounds=2):
     """Window fitted to the slice content of a complex line.
 
-    The conservative window (by default ``_auto_window`` at margin 1.1) is
+    The conservative window (by default ``_auto_window``) is
     certain to contain the region but can leave a thin slice only a
     handful of pixels wide, and pixel-level topology is meaningless at that
     scale.  Probing coarsely and refitting the frame to the detected
@@ -105,7 +107,7 @@ def _content_window(tube: Tube, anchor, direction, window=None,
     probe sees nothing.
     """
     if window is None:
-        window = _auto_window(tube, anchor, direction, 1.1)
+        window = _auto_window(tube, anchor, direction)
     for _ in range(rounds):
         probe = rasterize_line(tube, anchor, direction,
                                resolution=probe_resolution, window=window)
@@ -145,7 +147,7 @@ def _widened(window, raster, limit, step=0.25):
 
 
 def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
-                   margin=1.1, puncture=None) -> SliceRaster:
+                   puncture=None) -> SliceRaster:
     """Rasterize tube membership over a complex line in chart coordinates.
 
     The grid samples cell centers.  With the default window no tube point
@@ -159,7 +161,7 @@ def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
     if not np.linalg.norm(direction) > 0.0:
         raise ZeroDirectionError("direction must be nonzero")
     if window is None:
-        window = _auto_window(tube, anchor, direction, margin)
+        window = _auto_window(tube, anchor, direction)
     (re_lo, re_hi), (im_lo, im_hi) = window
     res = int(resolution)
     d_re = (re_hi - re_lo) / res
@@ -480,7 +482,7 @@ def _check_line(tube: Tube, anchor, direction, resolution, stability_factor, pun
                 n_region, bridged = 1, True
         return n_region, n_comp, bridged
 
-    limit = _auto_window(tube, anchor, direction, 1.1)
+    limit = _auto_window(tube, anchor, direction)
     window = _content_window(tube, anchor, direction, limit)
     raster = rasterize_line(tube, anchor, direction, resolution=resolution,
                             window=window, puncture=puncture)
@@ -625,11 +627,10 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
         report.observe(value)
         if value >= tol:
             report.record(f"separator fails to vanish at {z}", value)
-        h = dual_t.chart.infinity(xi.coeffs)
-        if abs(h) <= 1e-12 * np.linalg.norm(xi.coeffs):
+        eta = _dual_point(dual_t.chart, xi.coeffs)
+        if eta is None:
             report.record(f"separator at {z} lies at dual chart infinity")
             continue
-        eta = dual_t.chart.basis_values(xi.coeffs) / h
         defect = dual_t.violation(eta)
         report.observe(max(defect, 0.0))
         if defect > slack:

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elliptic_tubes.cli import _parse_complex, _parse_point, main
-from elliptic_tubes.domspec import parse_domain_text
+from elliptic_tubes.domspec import format_domain_text, load_domain, parse_domain_text
 
 
 BENCH_DOMAINS = Path(__file__).resolve().parents[1] / "perfbench"
@@ -168,7 +171,37 @@ def test_dual_round_trip_through_file(tmp_path, capsys):
     assert not spec.domain.contains(HPoint([2.0, 2.0, 1.0]))
 
 
+def test_cube_h_form_checks_and_dualizes(tmp_path, capsys):
+    # qhull triangulates the cube's faces: its H-form has 6 pairs of equal rows
+    spec = tmp_path / "cube3-h.dom"
+    cube = load_domain(BENCH_DOMAINS / "cube3.dom").domain
+    spec.write_text(format_domain_text(cube.as_hdomain(), name="cube3-h"))
+    code, out, _ = run(capsys, "check", "--file", str(spec), "--suite", "duality",
+                       "--samples", "5")
+    assert code == 0, out
+    code, out, _ = run(capsys, "dual", "--file", str(spec))
+    assert code == 0
+    assert len(parse_domain_text(out).domain.rep.vertices) == 6
+
+
 # ---------- check --------------------------------------------------------------------
+
+
+def test_check_path_imports_no_scipy_optimize():
+    # in a fresh interpreter: only the tangent sets and barycentric
+    # membership use scipy.optimize, and no check suite calls them
+    script = (
+        "import sys\n"
+        "from elliptic_tubes import cli\n"
+        "for name in ('triangle', 'halfline'):\n"
+        "    cli.main(['check', '--domain', name, '--suite', 'all', '--samples', '10'])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_check_quick_suite(capsys):

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptic_tubes import catalog
 from elliptic_tubes.domains import ConvexDomain, HDomain
+from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.duality import (
     annihilator,
     closed_dual_membership,
@@ -15,6 +20,8 @@ from elliptic_tubes.duality import (
 from elliptic_tubes.errors import InsideTubeError, NotBoundaryError
 from elliptic_tubes.projective import Functional, HPoint
 from elliptic_tubes.tube import Tube
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _proj_match(u, v, tol=1e-9):
@@ -70,6 +77,145 @@ def test_dual_of_triangle_prunes_redundant_row():
     fat = ConvexDomain(HDomain(funcs), reference_point=np.array([0.25, 0.25]))
     dual = dual_of(fat)
     assert len(dual.domain.rep.vertices) == 3
+
+
+def test_dual_of_triangle_with_a_repeated_row():
+    funcs = [
+        Functional([1.0, 0.0, 0.0]),
+        Functional([1.0, 0.0, 0.0]),
+        Functional([0.0, 1.0, 0.0]),
+        Functional([-1.0, -1.0, 1.0]),
+    ]
+    twice = ConvexDomain(HDomain(funcs), reference_point=np.array([0.25, 0.25]))
+    assert len(dual_of(twice).domain.rep.vertices) == 3
+
+
+def test_dual_of_cube_h_form_keeps_one_functional_per_face():
+    # qhull triangulates each square face: 12 rows, 6 bitwise-equal pairs
+    cube = load_domain(_PERFBENCH / "cube3.dom").domain.as_hdomain()
+    assert len(cube.rows()) == 12
+    faces = [np.append(s * e, 1.0) for e in np.eye(3) for s in (1.0, -1.0)]
+    verts = [v.coords for v in dual_of(cube).domain.rep.vertices]
+    assert len(verts) == 6
+    for v in verts:
+        assert sum(_proj_match(v, f) for f in faces) == 1
+    for f in faces:
+        assert any(_proj_match(v, f) for v in verts)
+
+
+# ---------- supporting functionals against a per-row LP -------------------------
+
+
+def _reference_prune(rows, box, tol=1e-9):
+    """Indices of rows that actually support the region {g . (x,1) > 0}.
+
+    A strict-interior feasibility test per row: the row is redundant when no
+    point satisfies all the others strictly while violating it strictly.
+    """
+    from scipy.optimize import linprog
+
+    n = rows.shape[1] - 1
+    lo, hi = box
+    keep = []
+    for k in range(len(rows)):
+        # variables (x, t); maximize t
+        a_ub = []
+        b_ub = []
+        for j in range(len(rows)):
+            if j == k:
+                continue
+            a_ub.append(np.append(-rows[j, :n], 1.0))
+            b_ub.append(rows[j, n])
+        a_ub.append(np.append(rows[k, :n], 1.0))
+        b_ub.append(-rows[k, n])
+        bounds = [(lo[i] - 1.0, hi[i] + 1.0) for i in range(n)] + [(None, 1.0)]
+        c = np.zeros(n + 1)
+        c[-1] = -1.0
+        res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), bounds=bounds, method="highs")
+        if res.success and -res.fun > tol:
+            keep.append(k)
+    return keep
+
+
+def _assert_dual_keeps_the_lp_rows(domain):
+    rows = domain.rows()
+    keep = _reference_prune(rows, domain.bbox)
+    verts = [v.coords for v in dual_of(domain).domain.rep.vertices]
+    lifts = [HPoint(domain.chart.matrix.T @ rows[k]).coords for k in keep]
+    assert len(verts) == len(lifts)
+    for v, lift in zip(verts, lifts):
+        assert np.array_equal(v, lift)
+    return keep
+
+
+def _fat_triangle():
+    # the triangle with a redundant fourth row
+    funcs = [
+        Functional([1.0, 0.0, 0.0]),
+        Functional([0.0, 1.0, 0.0]),
+        Functional([-1.0, -1.0, 1.0]),
+        Functional([1.0, 1.0, 1.0]),
+    ]
+    return ConvexDomain(HDomain(funcs), reference_point=np.array([0.25, 0.25]))
+
+
+@pytest.mark.parametrize("name", ["triangle", "halfline", "square", "simplex", "simplex4", "fat"])
+def test_dual_keeps_the_rows_the_lp_keeps(name):
+    if name == "simplex4":
+        domain = load_domain(_PERFBENCH / "simplex4.dom").domain.as_hdomain()
+    elif name == "fat":
+        domain = _fat_triangle()
+    else:
+        domain = catalog.by_name(name).as_hdomain()
+    keep = _assert_dual_keeps_the_lp_rows(domain)
+    assert len(keep) == (3 if name == "fat" else len(domain.rows()))
+
+
+def _h_domain(n, seed):
+    """An H-domain around a ball B(c, r), with its reference point c, and
+    the indices of its supporting rows.
+
+    The supporting rows are tangent to the sphere, with outward normals at
+    least 0.2 apart that include a rotated regular simplex's (so the domain
+    is bounded and no facet is thin); the others are positive combinations
+    of them or miss the domain by at least 0.05.  The rows come shuffled.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, n)
+    r = rng.uniform(0.2, 2.0)
+    if n == 1:
+        normals = np.array([[1.0], [-1.0]])
+    else:
+        simplex = np.eye(n + 1) - 1.0 / (n + 1)
+        normals = simplex @ np.linalg.svd(simplex)[2][:n].T
+        normals = normals @ np.linalg.qr(rng.normal(size=(n, n)))[0]
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        for _ in range(rng.integers(0, 6)):
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            if np.min(np.linalg.norm(normals - u, axis=1)) > 0.2:
+                normals = np.vstack([normals, u])
+    tangent = np.hstack([-normals, (r + normals @ c)[:, None]])
+    verts = ConvexDomain(HDomain(tuple(tangent)), reference_point=c).vertices_chart()
+    rows = list(tangent)
+    for _ in range(rng.integers(0, 5)):
+        if rng.random() < 0.5:
+            idx = rng.choice(len(tangent), size=rng.integers(2, len(tangent) + 1), replace=False)
+            rows.append(rng.uniform(0.1, 1.0, size=len(idx)) @ tangent[idx])
+        else:
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            rows.append(np.append(-u, np.max((verts - c) @ u) + rng.uniform(0.05, 1.0) + u @ c))
+    order = rng.permutation(len(rows))
+    domain = ConvexDomain(HDomain(tuple(rows[i] for i in order)), reference_point=c)
+    return domain, sorted(np.flatnonzero(order < len(tangent)).tolist())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_dual_keeps_the_rows_the_lp_keeps_on_random_h_domains(n, seed):
+    domain, supporting = _h_domain(n, seed)
+    assert _assert_dual_keeps_the_lp_rows(domain) == supporting
 
 
 def test_unit_disk_is_self_dual():
