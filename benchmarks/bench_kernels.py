@@ -1,17 +1,19 @@
-"""Benchmark the raster kernels, component labelling and the stages of a line.
+"""Benchmark the raster kernels, component counts and the stages of a line.
 
 The kernel table times ``pairwise_bitmap`` on the triangle (m = 3 rows) and
 the square (m = 4) and ``ellipsoid_bitmap`` on the ellipse, at each
-resolution, on a random complex line through the tube with the window the
-C-convexity verifier fits to it.  ``connectivity_counts`` (one pass over
-the region's row runs and a component count of their graph) is timed on
-the bitmap the kernel returned.
-Times are the best of ``--repeat`` runs.
+resolution, on a random complex line through the tube over the window the
+C-convexity verifier rasters: the box of the slice's boundary arcs, padded
+by 2 px.  ``connectivity_counts`` (one pass over the region's row runs and
+a component count of their graph) is timed on the bitmap the kernel
+returned.  Times are the best of ``--repeat`` runs.
 
 The stage table splits one-line ``verify_c_convexity`` calls (512 px with
 the 2x stability raster, as the ``slice-rasters`` benchmark workload runs
-them) into the two 256 px window probes, the final raster, the stability
-raster and labelling, averaged over ``--lines`` seeds per domain.
+them) into the boundary arcs (``slice_topology``, the verdict), the raster
+(the bare 512 px one, and the 1024 px one on a line where it disagrees
+with the arcs) and the component counts, averaged over ``--lines`` seeds
+per domain.
 
     python3 benchmarks/bench_kernels.py [--resolutions 256,512,1024] [--repeat 5] [--lines 10]
 """
@@ -37,60 +39,51 @@ def _best(func, args, repeat):
     return best, out
 
 
-def _kernel_call(tube, anchor, direction, window, resolution):
-    """The kernel and arguments ``rasterize_line`` would use."""
-    (re_lo, re_hi), (im_lo, im_hi) = window
+def _kernel_call(tube, anchor, direction, resolution):
+    """The kernel and arguments ``rasterize_line`` would use in the line
+    check's window."""
+    bbox = _kernels.slice_topology(*verify._line_forms(tube, anchor, direction))[2]
+    (re_lo, re_hi), (im_lo, im_hi) = verify._raster_window(bbox, resolution)
     centres = (np.arange(resolution) + 0.5) / resolution
     w_re = re_lo + centres * (re_hi - re_lo)
     w_im = im_lo + centres * (im_hi - im_lo)
-    if tube.base._rows is not None:
-        rows = tube.base.rows()
-        return _kernels.pairwise_bitmap, (rows @ np.append(anchor, 1.0),
-                                          rows @ np.append(direction, 0.0), w_re, w_im)
-    center, shape = tube.base.ellipsoid_data()
-    return _kernels.ellipsoid_bitmap, (center, shape, np.append(anchor, 1.0),
-                                       np.append(direction, 0.0), w_re, w_im)
+    kernel, _, args = verify._line_kernel(tube, anchor, direction)
+    return kernel, (*args, w_re, w_im)
 
 
 def kernel_table(resolutions, repeat):
-    print(f"{'case':<24} {'res':>5} {'kernel ms':>10} {'label ms':>9} {'filled':>7}")
+    print(f"{'case':<24} {'res':>5} {'kernel ms':>10} {'counts ms':>9} {'filled':>7}")
     for name, label in CASES:
         tube = Tube(catalog.by_name(name))
         rng = np.random.default_rng(np.random.SeedSequence([0]))
         anchor, direction, _ = verify._random_line(tube, rng)
-        window = verify._content_window(tube, anchor, direction)
         for res in resolutions:
-            kernel, args = _kernel_call(tube, anchor, direction, window, res)
+            kernel, args = _kernel_call(tube, anchor, direction, res)
             t_kernel, bitmap = _best(kernel, args, repeat)
-            t_label, _ = _best(verify.connectivity_counts, (bitmap,), repeat)
+            t_counts, _ = _best(verify.connectivity_counts, (bitmap,), repeat)
             print(f"{name + ' (' + label + ')':<24} {res:>5} {t_kernel * 1e3:>10.2f} "
-                  f"{t_label * 1e3:>9.2f} {bitmap.mean():>7.1%}")
+                  f"{t_counts * 1e3:>9.2f} {bitmap.mean():>7.1%}")
 
 
 def stage_table(lines, resolution=512, stability=2):
-    stages = ("probes", "final", "stability", "labelling")
     totals = {}
     spent = defaultdict(float)
-    raster, counts = verify.rasterize_line, verify.connectivity_counts
+    stages = ("arcs", "raster", "counts")
+    patched = [(module, attr, getattr(module, attr)) for module, attr in
+               ((_kernels, "slice_topology"), (verify, "rasterize_line"),
+                (verify, "connectivity_counts"))]
 
-    def timed_raster(*args, **kwargs):
-        res = kwargs.get("resolution", 512)
-        stage = ("final" if res == resolution
-                 else "stability" if res == resolution * stability else "probes")
-        t0 = time.perf_counter()
-        try:
-            return raster(*args, **kwargs)
-        finally:
-            spent[stage] += time.perf_counter() - t0
+    def timed(func, stage):
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                spent[stage] += time.perf_counter() - t0
+        return run
 
-    def timed_counts(bitmap):
-        t0 = time.perf_counter()
-        try:
-            return counts(bitmap)
-        finally:
-            spent["labelling"] += time.perf_counter() - t0
-
-    verify.rasterize_line, verify.connectivity_counts = timed_raster, timed_counts
+    for (module, attr, func), stage in zip(patched, stages):
+        setattr(module, attr, timed(func, stage))
     try:
         for name, _ in CASES:
             domain = catalog.by_name(name)
@@ -101,7 +94,8 @@ def stage_table(lines, resolution=512, stability=2):
                                           stability_factor=stability, seed=seed)
             totals[name] = (time.perf_counter() - t0, dict(spent))
     finally:
-        verify.rasterize_line, verify.connectivity_counts = raster, counts
+        for module, attr, func in patched:
+            setattr(module, attr, func)
     print(f"{'per line, ms':<12} " + " ".join(f"{s:>10}" for s in stages)
           + f" {'other':>8} {'total':>8}")
     for name, (wall, parts) in totals.items():

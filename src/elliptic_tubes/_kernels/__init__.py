@@ -1,4 +1,4 @@
-"""Raster membership kernels.
+"""Membership forms on a complex line: raster kernels and exact topology.
 
 Every membership test on a complex line ``z(w) = A + w B`` is the sign of a
 Hermitian form in ``(1, w)``.  With ``w = x + i y``,
@@ -9,7 +9,13 @@ Hermitian form in ``(1, w)``.  With ``w = x + i y``,
 a column term plus a row term, so the sign of ``f`` over a whole raster is
 one broadcast comparison of two short vectors (`form_mask`) and no complex
 grid arithmetic.  Comparing ``column > -row`` decides exactly the sign of
-the rounded sum ``column + row``.
+the rounded sum ``column + row``.  The zero set of each form is a circle,
+a line or at most a point, so the region where every form is positive is
+bounded by circle arcs and segments, and `slice_topology` counts its
+components and holes from them, with no pixels.
+
+`pairwise_forms` and `ellipsoid_forms` build the forms; the kernels are
+`form_mask` of them.
 
 Kernel contract
 ---------------
@@ -38,9 +44,9 @@ def backend():
     return "numpy"
 
 
-def form_mask(alpha, beta, gamma, w_re, w_im, negative=False):
+def form_mask(alpha, beta, gamma, w_re, w_im):
     """Pixels where every form ``gamma_k + Re(beta_k w) + alpha_k |w|^2``
-    is > 0 (or < 0 when ``negative``).
+    is > 0.
 
     ``alpha`` and ``gamma`` are real, ``beta`` complex, all of length K.
     Returns a bool array of shape ``(len(w_im), len(w_re))``.
@@ -52,41 +58,209 @@ def form_mask(alpha, beta, gamma, w_re, w_im, negative=False):
     y = np.asarray(w_im, dtype=np.float64)
     cols = alpha[:, None] * (x * x) + beta.real[:, None] * x
     neg_rows = -(alpha[:, None] * (y * y) - beta.imag[:, None] * y + gamma[:, None])
-    compare = np.less if negative else np.greater
     mask = np.ones((len(y), len(x)), dtype=bool)
     for col, neg_row in zip(cols, neg_rows):
-        mask &= compare(col[None, :], neg_row[:, None])
+        mask &= np.greater(col[None, :], neg_row[:, None])
     return mask
 
 
-def pairwise_bitmap(fam_a, fam_b, w_re, w_im):
+def pairwise_forms(fam_a, fam_b):
+    """``(alpha, beta, gamma)`` of the pair tests ``Re(v_q conj v_p) > 0``,
+    ``p < q``, of the values ``v_k(w) = fam_a[k] + w fam_b[k]``.
+
+    With two or more values the diagonal forms ``|v_p|^2 >= 0`` decide
+    nothing: where ``v_p = 0`` every pair (p, q) vanishes as well.  A single
+    value keeps its diagonal form.
+    """
     a = np.asarray(fam_a, dtype=np.complex128)
     b = np.asarray(fam_b, dtype=np.complex128)
-    # With two or more values the diagonal forms |v_p|^2 >= 0 decide
-    # nothing: where v_p = 0 every pair (p, q) vanishes as well.
     p, q = np.triu_indices(len(a), k=1 if len(a) > 1 else 0)
     alpha = (b[q] * np.conj(b[p])).real
     beta = b[q] * np.conj(a[p]) + np.conj(a[q]) * b[p]
     gamma = (a[q] * np.conj(a[p])).real
-    return form_mask(alpha, beta, gamma, w_re, w_im).view(np.uint8)
+    return alpha, beta, gamma
 
 
-def ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im):
+def ellipsoid_forms(center, shape, aff_a, aff_b):
+    """``(alpha, beta, gamma)`` of the one form that is > 0 inside the tube
+    over the ellipsoid, off chart infinity.
+
+    With ``g(w) = head - c last = G (1, w)``, the test
+    ``(zeta - c)^H S (zeta - c) < 1`` times ``|last|^2 > 0`` is
+    ``(1, w)^H M (1, w) < 0`` with ``M = G^H S G - L^H L``; the form is the
+    negated Hermitian part of M.
+    """
     center = np.asarray(center, dtype=np.float64)
     shape = np.asarray(shape, dtype=np.float64)
     aff_a = np.asarray(aff_a, dtype=np.complex128)
     aff_b = np.asarray(aff_b, dtype=np.complex128)
-    # g(w) = head - c last = G (1, w); the test (zeta - c)^H S (zeta - c) < 1
-    # times |last|^2 > 0 is (1, w)^H M (1, w) < 0 with
-    # M = G^H S G - L^H L, whose Hermitian part gives the form.
     gen = np.column_stack([aff_a[:-1] - center * aff_a[-1],
                            aff_b[:-1] - center * aff_b[-1]])
     last = np.array([aff_a[-1], aff_b[-1]])
     mat = gen.conj().T @ shape @ gen - np.outer(last.conj(), last)
-    mask = form_mask(mat[1, 1].real, mat[0, 1] + np.conj(mat[1, 0]), mat[0, 0].real,
-                     w_re, w_im, negative=True)
-    _clear_chart_infinity(mask, aff_a[-1], aff_b[-1], w_re, w_im)
+    return -mat[1, 1].real, -(mat[0, 1] + np.conj(mat[1, 0])), -mat[0, 0].real
+
+
+def pairwise_bitmap(fam_a, fam_b, w_re, w_im):
+    return form_mask(*pairwise_forms(fam_a, fam_b), w_re, w_im).view(np.uint8)
+
+
+def ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im):
+    mask = form_mask(*ellipsoid_forms(center, shape, aff_a, aff_b), w_re, w_im)
+    _clear_chart_infinity(mask, np.complex128(aff_a[-1]), np.complex128(aff_b[-1]), w_re, w_im)
     return mask.view(np.uint8)
+
+
+# arc ends within this share of the boundary's extent are one vertex, and a
+# cycle that small is rounding noise: where curves touch, rounding moves a
+# double root by about the square root of the unit roundoff (1e-8) of it
+_NOISE = 1e-7
+# a discriminant within this share of its terms is zero: the form's zero
+# set is at most a point, not a curve
+_POINT = 64 * np.finfo(np.float64).eps
+
+
+def slice_topology(alpha, beta, gamma):
+    """``(components, holes, bbox)`` of the bounded open region where every
+    form ``f_k(w) = gamma_k + Re(beta_k w) + alpha_k |w|^2`` is > 0, from the
+    circle arcs and segments that bound it; ``bbox`` is
+    ``((re_lo, re_hi), (im_lo, im_hi))`` of its closure, None when it is
+    empty.  An unbounded region raises ValueError.
+
+    A form whose zero set is at most a point has one sign off it: positive,
+    it constrains nothing; otherwise the region is empty.  A repeated form
+    bounds once.  Each zero curve is parametrized from its point nearest ``w = 0``: with
+    ``D = |beta|^2 - 4 alpha gamma`` and ``n = conj(beta) / |beta|``,
+
+        w(t) = s n - i n t / (1 - i kappa t / 2),
+        s = -2 gamma / (|beta| + sqrt D),   kappa = -2 alpha / sqrt D,
+
+    so that f_k grows to the left of the direction of travel and a line is
+    just ``kappa = 0``.  Every other form times ``|1 - i kappa t / 2|^2`` is
+    a real quadratic in t, whose stable roots cut the curve into arcs; the
+    arcs where all of them are positive bound the region, on their left.
+    ``t = tan(sigma / 2)`` keeps ``t = infinity`` an ordinary point.  An
+    arc runs on to the arcs that start within ``_NOISE`` of the extent
+    from its end and to the one that starts nearest it, and arcs joined
+    so form a boundary cycle.  Its signed area, chords plus the segments
+    ``(phi - sin phi) / (2 kappa^2)`` of turning angle phi, is positive for
+    a component's outer boundary and negative for a hole; a cycle within
+    ``_NOISE`` of the extent is rounding noise.  Cycles that touch at a
+    point count as one.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
+    forms = np.unique(np.column_stack(np.broadcast_arrays(
+        alpha, beta.real, beta.imag, gamma)).astype(np.float64), axis=0)
+    alpha, beta, gamma = forms[:, 0], forms[:, 1] + 1j * forms[:, 2], forms[:, 3]
+    size = np.abs(beta)
+    disc = size * size - 4.0 * alpha * gamma
+    curve = disc > _POINT * (size * size + 4.0 * np.abs(alpha * gamma))
+    if not np.all(np.where(alpha != 0.0, alpha, gamma)[~curve] > 0.0):
+        return 0, 0, None
+    alpha, beta, gamma, size, root = (alpha[curve], beta[curve], gamma[curve], size[curve],
+                                      np.sqrt(disc[curve]))
+    count = len(alpha)
+
+    n = np.where(size > 0.0, np.conj(beta) / np.where(size > 0.0, size, 1.0), 1.0)
+    w0 = -2.0 * gamma / (size + root) * n
+    d = -1j * n
+    kappa = -2.0 * alpha / root
+    line = kappa == 0.0
+
+    # the quadratic of form j on curve k, A t^2 + B t + C, at [k, j]
+    e = d - 0.5j * kappa * w0
+    kap = kappa[:, None]
+    beta_w0 = (beta[None, :] * w0[:, None]).real
+    beta_d = beta[None, :] * d[:, None]
+    qa = 0.25 * kap * kap * (gamma + beta_w0) - 0.5 * kap * beta_d.imag \
+        + alpha * (e * e.conj()).real[:, None]
+    qb = beta_d.real + 2.0 * alpha * (w0.conj() * e).real[:, None]
+    qc = gamma + beta_w0 + alpha * (w0 * w0.conj()).real[:, None]
+    # stable roots as sigma = 2 atan2 of homogeneous pairs (q : A), (C : q)
+    q_disc = qb * qb - 4.0 * qa * qc
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(q_disc, 0.0)), qb))
+    second = 2.0 * np.arctan2(qc, q)
+    first = np.where((q == 0.0) & (qa == 0.0), second, 2.0 * np.arctan2(q, qa))
+    roots = np.pi - np.mod(np.pi - np.stack([first, second], axis=2), 2.0 * np.pi)
+    other = ~np.eye(count, dtype=bool)
+    roots[~((q_disc >= 0.0) & other)] = np.nan
+    roots = np.sort(roots.reshape(count, 2 * count), axis=1)  # NaN last
+
+    # the intervals between consecutive roots, each around the curve
+    # (sigma up to start + 2 pi); a curve with no root is one interval
+    ends = np.sum(~np.isnan(roots), axis=1)[:, None]
+    idx = np.arange(2 * count)[None, :]
+    wrap = idx + 1 >= ends
+    start = np.where(ends > 0, roots, -np.pi)
+    stop = np.take_along_axis(roots, np.where(wrap, 0, idx + 1), axis=1)
+    stop = np.where(ends > 0, stop + np.where(wrap, 2.0 * np.pi, 0.0), np.pi)
+    mid = 0.5 * (start + stop)
+    s, c = np.sin(0.5 * mid)[:, :, None], np.cos(0.5 * mid)[:, :, None]
+    value = qa[:, None, :] * s * s + qb[:, None, :] * s * c + qc[:, None, :] * c * c
+    arc = (idx < np.maximum(ends, 1)) & np.all((value > 0.0) | ~other[:, None, :], axis=2)
+    ks, slot = np.nonzero(arc)
+    start, stop = start[ks, slot], stop[ks, slot]
+
+    if (line[ks] & (stop >= np.pi)).any() or not ((alpha < 0.0).any() or line.any()):
+        raise ValueError("the region is unbounded")
+    if not len(ks):
+        return 0, 0, None
+
+    def point(sigma):
+        s, c = np.sin(0.5 * sigma), np.cos(0.5 * sigma)
+        return w0[ks] + d[ks] * s / (c - 0.5j * kappa[ks] * s)
+
+    # the turning angle theta = 2 atan(kappa t / 2) along each arc
+    def theta(sigma):
+        return 2.0 * np.arctan2(0.5 * kappa[ks] * np.sin(0.5 * sigma), np.cos(0.5 * sigma))
+
+    wrapped = stop > np.pi
+    turn = np.sign(kappa[ks]) * 2.0 * np.pi
+    theta_a = theta(start)
+    phi = theta(np.where(wrapped, stop - 2.0 * np.pi, stop)) - theta_a + np.where(wrapped, turn, 0.0)
+    small = np.abs(phi) < 1e-2
+    excess = np.where(small, phi ** 3 / 6.0 * (1.0 - phi * phi / 20.0 * (1.0 - phi * phi / 42.0)),
+                      phi - np.sin(phi))
+    safe = np.where(line[ks], 1.0, kappa[ks])
+    p_a, p_b = point(start), point(stop)
+
+    # the box: arc ends, and the points of each circle farthest along an
+    # axis that lie on its arc
+    radial = -n[ks] / safe  # w - centre at theta = 0, turning with theta
+    extreme = np.array([0.0, 0.5, 1.0, -0.5]) * np.pi
+    theta_e = extreme[None, :] - np.angle(radial)[:, None]
+    on_arc = np.mod((theta_e - theta_a[:, None]) * np.sign(safe)[:, None], 2.0 * np.pi) \
+        <= np.abs(phi)[:, None]
+    tips = (w0[ks] + n[ks] / safe)[:, None] + np.exp(1j * extreme)[None, :] / np.abs(safe)[:, None]
+    tips = tips[on_arc & ~line[ks][:, None]]
+    box = np.concatenate([p_a, p_b, tips])
+    bbox = ((float(box.real.min()), float(box.real.max())),
+            (float(box.imag.min()), float(box.imag.max())))
+
+    # the boundary cycles: an arc runs on to every arc that starts within
+    # tol of its end, and to the one that starts nearest its end (itself
+    # only when it is a whole curve); each cycle is labelled by its lowest
+    # arc
+    tol = _NOISE * np.abs(bbox).max()
+    gap = np.abs(p_b[:, None] - p_a[None, :])
+    np.fill_diagonal(gap, np.where(ends[ks, 0] == 0, 0.0, np.inf))
+    joined = (gap <= tol) | np.eye(len(ks), dtype=bool)
+    joined[np.arange(len(ks)), np.argmin(gap, axis=1)] = True
+    joined |= joined.T
+    cycle = np.arange(len(ks))
+    while True:
+        lowest = np.where(joined, cycle[None, :], len(ks)).min(axis=1)
+        if np.array_equal(lowest, cycle):
+            break
+        cycle = lowest
+    # each cycle's area from chords about its own first vertex, so that the
+    # rounding gaps where its arcs meet move a cycle within tol of a point
+    # by about tol^2 at most; a cycle that small bounds nothing
+    ref = p_a[cycle]
+    area = 0.5 * ((p_a - ref).conj() * (p_b - ref)).imag \
+        + np.where(line[ks], 0.0, excess / (2.0 * safe * safe))
+    area = np.bincount(cycle, weights=area)
+    return int((area > tol * tol).sum()), int((area < -tol * tol).sum()), bbox
 
 
 def _clear_chart_infinity(mask, last_a, last_b, w_re, w_im):

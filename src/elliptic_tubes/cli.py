@@ -53,6 +53,12 @@ def _parse_point(token: str) -> np.ndarray:
     return np.array([_parse_complex(part) for part in token.split(",")])
 
 
+def _positive_int(token: str) -> int:
+    if not token.isdecimal() or int(token) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {token!r}")
+    return int(token)
+
+
 def _fmt_float(value: float) -> str:
     return format(float(value), _FMT)
 
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", default="all", choices=("all",) + _SUITES)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--samples", type=int, default=200)
-    p_check.add_argument("--resolution", type=int, default=256)
+    p_check.add_argument("--resolution", type=_positive_int, default=256)
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_domain_args(p_slice)
     p_slice.add_argument("--anchor", help="real chart point on the slice line")
     p_slice.add_argument("--direction", help="real direction of the slice line")
-    p_slice.add_argument("--resolution", type=int, default=256)
+    p_slice.add_argument("--resolution", type=_positive_int, default=256)
     p_slice.add_argument("--format", default="csv", choices=("csv", "pgm"))
     p_slice.add_argument("--output", help="output path (default: stdout / slice.pgm)")
     p_slice.set_defaults(func=cmd_slice)

@@ -166,6 +166,14 @@ def _facet_rows(verts):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def _distinct_rows(rows):
+    """The unit rows with each facet once: a row within 1e-12 of an earlier
+    row is dropped, and the first stays in its place.  qhull splits a facet
+    that is not a simplex into several equal rows."""
+    close = np.linalg.norm(rows[:, None] - rows[None], axis=2) <= 1e-12
+    return rows[~np.tril(close, -1).any(axis=1)]
+
+
 class ConvexDomain:
     """A properly convex open domain, bounded in its chart."""
 
@@ -213,7 +221,7 @@ class ConvexDomain:
         self.reference = np.asarray(reference_point, dtype=np.float64).reshape(n)
 
         if isinstance(rep, VPolytope):
-            self._rows = _facet_rows(self._verts)
+            self._rows = _distinct_rows(_facet_rows(self._verts))
         elif isinstance(rep, HDomain):
             rows = np.vstack([chart.inverse.T @ f.coeffs for f in rep.functionals])
             ref_lift = np.append(self.reference, 1.0)
@@ -221,7 +229,7 @@ class ConvexDomain:
             if np.any(np.abs(signs) < 1e-12):
                 raise ValidationError("reference point lies on a functional kernel")
             rows = rows * np.sign(signs)[:, None]
-            self._rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            self._rows = _distinct_rows(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
         # rows that actually bound (nonzero chart-normal part), rescaled so
         # the slack equals the Euclidean distance to the hyperplane

@@ -307,6 +307,24 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+@pytest.mark.parametrize("argv", [("check", "--domain", "triangle", "--suite", "cconv"),
+                                  ("slice", "--domain", "square")])
+def test_resolution_must_be_a_positive_integer(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--resolution", value)
+    assert code == 2
+    assert out == ""
+    assert "--resolution: must be a positive integer" in err
+
+
+def test_c_convexity_verdict_does_not_depend_on_pixels(capsys):
+    # one pixel per raster: whatever the rasters count, the arcs decide
+    code, out, _ = run(capsys, "check", "--domain", "triangle", "--suite", "cconv",
+                       "--resolution", "1", "--verbose")
+    assert code == 0, out
+    assert out.startswith("[PASS] c_convexity")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ["cube3", "simplex4"])
 def test_check_all_suites_in_three_and_four_dimensions(capsys, name, seed):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from elliptic_tubes.domains import (
     Ellipsoid,
     HDomain,
     VPolytope,
+    _facet_rows,
     contains_barycentric,
 )
+from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.errors import NotInteriorError, ValidationError
 from elliptic_tubes.projective import Chart, Functional, HPoint
 
@@ -26,6 +29,37 @@ def test_catalog_domains_validate(name):
     domain = catalog.by_name(name)
     report = domain.validate()
     assert report.passed, report.to_text()
+
+
+def _unit_rows(domain):
+    """The unit rows of a polytope as built before repeated rows were
+    dropped."""
+    if isinstance(domain.rep, VPolytope):
+        return _facet_rows(domain._verts)
+    rows = np.vstack([domain.chart.inverse.T @ f.coeffs for f in domain.rep.functionals])
+    rows = rows * np.sign(rows @ np.append(domain.reference, 1.0))[:, None]
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", ["interval", "square", "triangle", "simplex", "halfline"])
+def test_catalog_rows_are_the_unit_rows(name):
+    domain = catalog.by_name(name)
+    np.testing.assert_array_equal(domain.rows(), _unit_rows(domain))
+
+
+def test_each_facet_is_one_row(triangle):
+    # qhull splits each square face of the cube into two triangles
+    cube = load_domain(Path(__file__).resolve().parents[1] / "perfbench" / "cube3.dom").domain
+    unit = _unit_rows(cube)
+    first = [i for i in range(len(unit))
+             if not any(np.array_equal(unit[i], unit[j]) for j in range(i))]
+    assert (len(unit), len(first)) == (12, 6)
+    np.testing.assert_array_equal(cube.rows(), unit[first])
+    # a functional listed twice is one row, in its first place
+    functionals = [f.coeffs for f in triangle.rep.functionals]
+    twice = ConvexDomain(HDomain(tuple(Functional(c) for c in [functionals[0], *functionals])),
+                         reference_point=(0.25, 0.25))
+    np.testing.assert_array_equal(twice.rows(), triangle.rows())
 
 
 def test_hdomain_needs_reference():

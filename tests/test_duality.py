@@ -91,9 +91,10 @@ def test_dual_of_triangle_with_a_repeated_row():
 
 
 def test_dual_of_cube_h_form_keeps_one_functional_per_face():
-    # qhull triangulates each square face: 12 rows, 6 bitwise-equal pairs
+    # qhull triangulates each square face into two equal rows; the domain
+    # keeps one row per face
     cube = load_domain(_PERFBENCH / "cube3.dom").domain.as_hdomain()
-    assert len(cube.rows()) == 12
+    assert len(cube.rows()) == 6
     faces = [np.append(s * e, 1.0) for e in np.eye(3) for s in (1.0, -1.0)]
     verts = [v.coords for v in dual_of(cube).domain.rep.vertices]
     assert len(verts) == 6

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from elliptic_tubes import _kernels
 from elliptic_tubes import catalog
 from elliptic_tubes.tube import Tube
-from elliptic_tubes.verify import _content_window, _random_line, rasterize_line
+from elliptic_tubes.verify import _line_forms, _random_line, _raster_window, rasterize_line
 
 # Differing pixels must sit on a test whose exact value is zero to within
 # this multiple of the size of its terms.
@@ -208,6 +208,12 @@ def test_ellipsoid_matches_direct(rng, ellipse):
             assert bool(bitmap[i, j]) == want
 
 
+def _arc_window(tube, anchor, direction, resolution, puncture=None):
+    """The window the C-convexity check rasters over: the arcs' box, padded."""
+    bbox = _kernels.slice_topology(*_line_forms(tube, anchor, direction, puncture))[2]
+    return _raster_window(bbox, resolution)
+
+
 def _reference_raster(tube, raster):
     """The reference bitmap on the raster's own grid, and its explainer."""
     args_w = (raster.w_re, raster.w_im)
@@ -229,7 +235,7 @@ def test_kernels_match_reference_on_verifier_lines(name, resolution):
     pixels = differing = 0
     for _ in range(3):
         anchor, direction, _ = _random_line(tube, rng)
-        window = _content_window(tube, anchor, direction)
+        window = _arc_window(tube, anchor, direction, resolution)
         raster = rasterize_line(tube, anchor, direction, resolution=resolution, window=window)
         want, explain = _reference_raster(tube, raster)
         differing += _differing(raster.bitmap, want, explain)
@@ -245,7 +251,7 @@ def test_puncture_matches_reference_on_control_lines():
     pixels = differing = holed = 0
     for _ in range(6):
         anchor, direction, _ = _random_line(tube, rng, through=center)
-        window = _content_window(tube, anchor, direction)
+        window = _arc_window(tube, anchor, direction, 512, (center, radius))
         for resolution in (512, 1024):
             raster = rasterize_line(tube, anchor, direction, resolution=resolution,
                                     window=window, puncture=(center, radius))
