@@ -21,8 +21,8 @@ from .errors import (
     NotBoundaryError,
     RepresentationError,
 )
-from .projective import Chart, Functional, HPoint
-from .tube import COMPLEX_BOUNDARY, REAL_BOUNDARY, Tube, pair_gram
+from .projective import Chart, Functional, HPoint, _rowdot, normalize_lifts, row_norms
+from .tube import COMPLEX_BOUNDARY, REAL_BOUNDARY, Tube, pair_gram, pair_gram_rows
 
 _CLOSED_SLACK = 1e-12
 
@@ -66,6 +66,20 @@ def _dual_point(chart: Chart, xi):
     if abs(h) <= 1e-12 * np.linalg.norm(xi):
         return None
     return chart.basis_values(xi) / h
+
+
+def _dual_defects(dual_t: Tube, xis):
+    """``(finite, defect)`` for the rows of a (B, n+1) array of functionals:
+    whether :func:`_dual_point` gives the row a point, and the dual tube's
+    :meth:`Tube.violation` there (NaN where it does not), each row rounded
+    as the one-functional calls round it."""
+    chart = dual_t.chart
+    h = (chart.matrix[-1] @ xis[:, :, None])[:, 0]
+    finite = ~(np.hypot(h.real, h.imag) <= 1e-12 * row_norms(xis))
+    defect = np.full(len(xis), np.nan)
+    eta = _rowdot(chart.matrix[:-1], xis[finite]) / h[finite, None]
+    defect[finite] = dual_t.violation_rows(eta)
+    return finite, defect
 
 
 def dual_complement(domain: ConvexDomain) -> DualDomain:
@@ -175,6 +189,41 @@ def tube_separator(domain: ConvexDomain, z):
     return Functional(vals[j] * fam[i] - vals[i] * fam[j])
 
 
+def _separator_rows(domain: ConvexDomain, lifts, variant="difference"):
+    """:func:`tube_separator_rows` of a (B, n+1) lift array.  The variant
+    ``"sum"`` adds the pair's terms, the negative control of the linear
+    convexity check, and takes the first row where the sum's norm is below
+    1e-14."""
+    fam = domain.rows() @ domain.chart.matrix
+    vals = _rowdot(fam, lifts)
+    _, i, j, found = pair_gram_rows(vals)
+    at = np.arange(len(vals))
+    f, g, f_val, g_val = fam[i], fam[j], vals[at, i, None], vals[at, j, None]
+    if variant == "difference":
+        coeffs = g_val * f - f_val * g
+        # np.hypot rounds as the scalar abs() of one value
+        tiny = np.hypot(f_val.real, f_val.imag) < 1e-15
+        single = (i == j) | (tiny & (np.hypot(g_val.real, g_val.imag) < 1e-15))[:, 0]
+    else:
+        coeffs = g_val * f + f_val * g
+        single = row_norms(coeffs) < 1e-14
+    # each row normalized as Functional(coeffs) would be, or Functional(f) of the real row
+    out = np.empty(coeffs.shape, dtype=np.complex128)
+    out[~single] = normalize_lifts(coeffs[~single])
+    out[single] = normalize_lifts(f[single])
+    return out, ~found
+
+
+def tube_separator_rows(domain: ConvexDomain, zeta):
+    """:func:`tube_separator` of every row of a (B, n) complex chart array:
+    ``(coeffs, inside)``, the separators' coefficient rows, each equal bit
+    for bit to the one-point call's, and the flags of the rows that lie
+    inside the tube (their coefficients mean nothing)."""
+    if not isinstance(domain.rep, HDomain):
+        raise RepresentationError("tube_separator expects an H-domain base")
+    return _separator_rows(domain, domain.chart.lift_rows(np.asarray(zeta, dtype=np.complex128)))
+
+
 @dataclass
 class TangentFunctionalSample:
     """Functionals through a tube boundary point whose kernels miss the tube."""
@@ -280,8 +329,11 @@ def tangent_set_sample(domain: ConvexDomain, a, n_samples=200, seed=0):
 
 
 def closed_dual_membership(domain: ConvexDomain, xi, slack=_CLOSED_SLACK):
-    """Whether a functional lies in the closed dual tube (with slack)."""
+    """Whether a functional lies in the closed dual tube (with slack).  For
+    a (B, n+1) stack of functionals, a bool array with one answer per row;
+    the dual tube is built once."""
     dual_t, _ = dual_tube(domain)
     coeffs = xi.coeffs if isinstance(xi, Functional) else np.asarray(xi)
-    eta = _dual_point(dual_t.chart, coeffs)
-    return eta is not None and dual_t.violation(eta) <= slack
+    finite, defect = _dual_defects(dual_t, np.atleast_2d(coeffs))
+    member = finite & (defect <= slack)
+    return member if coeffs.ndim == 2 else bool(member[0])

@@ -35,7 +35,7 @@ from .errors import (
     RepresentationError,
     UnsupportedConfigurationError,
 )
-from .projective import HPoint, row_norms
+from .projective import HPoint, _affine, _rowdot, row_norms
 
 # chart-level reality band: imaginary part below this relative size is dust
 _REAL_BAND = 1e-12
@@ -202,6 +202,17 @@ class Tube:
         u = zeta.real - center
         v = zeta.imag
         return float(u @ shape @ u + v @ shape @ v - 1.0)
+
+    def violation_rows(self, zeta):
+        """:meth:`violation` of every row of a (B, n) chart array, each row
+        rounded as the one-point call rounds it."""
+        if self.base._rows is None:
+            return np.array([self.violation(z) for z in zeta], dtype=np.float64)
+        lifts = _affine(np.asarray(zeta, dtype=np.complex128))
+        gram, _, _, _ = pair_gram_rows(_rowdot(self.base.rows(), lifts))
+        # float ** 2 calls libm pow, which does not always round as r * r does
+        square = np.array([r ** 2 for r in row_norms(lifts).tolist()], dtype=np.float64)
+        return -gram.min(axis=(1, 2)) / square
 
     def _trace_clips(self, x, y):
         """``(speed, a, b, ok)`` for the rows of (B, n) arrays x, y with
@@ -560,3 +571,17 @@ def pair_gram(vals):
             if gram[i, j] <= 0.0:
                 return gram, (i, j)
     return gram, None
+
+
+def pair_gram_rows(vals):
+    """:func:`pair_gram` of every row of a (B, m) array of values:
+    ``(gram, i, j, found)``, the (B, m, m) Gram matrices, and for each row
+    its first pair ``(i, j)`` and whether it has one (``i = j = 0`` where
+    it has none)."""
+    count, m = vals.shape
+    gram = np.real(vals[:, :, None] * np.conj(vals)[:, None, :])
+    # row-major order over the upper triangle is pair_gram's search order
+    bad = np.triu(gram <= 0.0).reshape(count, m * m)
+    first = bad.argmax(axis=1)
+    i, j = np.divmod(first, m)
+    return gram, i, j, bad[np.arange(count), first]

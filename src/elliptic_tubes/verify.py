@@ -14,21 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import null_space
 from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .domains import ConvexDomain, HDomain
-from .duality import _dual_point, _violating_pair, dual_tube, tube_separator
-from .errors import DegenerateError, RepresentationError, ZeroDirectionError
-from .projective import (
-    Functional,
-    HPoint,
-    _rowdot,
-    normalize_lifts,
-    pushforward_rows,
-    row_norms,
+from .duality import _dual_defects, _separator_rows, dual_tube
+from .errors import (
+    DegenerateError,
+    InsideTubeError,
+    RepresentationError,
+    ZeroDirectionError,
 )
+from .projective import _rowdot, normalize_lifts, pushforward_rows, row_norms
 from .quotients import _preserves
 from .report import VerifierReport
 from .tangent import from_tangent_rows, to_tangent_rows
@@ -205,6 +202,31 @@ def connectivity_counts(bitmap):
 # linear convexity (separators)
 
 
+def _kernel_probes(tube: Tube, rows, rng, probes):
+    """Whether each of ``probes`` random points on the kernel of each row of
+    a (P, n+1) array of functionals lies in the tube: a (P, probes) bool
+    array.  The kernel coefficients are drawn in one call, the stream of
+    drawing the real and then the imaginary coefficients probe by probe,
+    row by row."""
+    # the null space of a nonzero row: the last n right singular vectors
+    basis = np.linalg.svd(rows[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
+    draws = rng.normal(size=(len(rows), probes, 2, tube.n))
+    coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
+    lifts = normalize_lifts((basis[:, None] @ coeffs[..., None]).reshape(-1, tube.n + 1))
+    zeta, finite = tube.chart.to_chart_rows(lifts)
+    inside = np.zeros(len(lifts), dtype=bool)  # chart infinity is outside
+    inside[finite] = tube.contains_rows(zeta[finite])
+    return inside.reshape(len(rows), probes)
+
+
+def _relative_values(coeffs, lifts):
+    """``|xi(lift)| / (|xi| |lift|)`` of paired rows of two (B, n+1) arrays,
+    each rounded as the one-functional expression rounds it."""
+    values = (coeffs[:, None, :] @ lifts[:, :, None])[:, 0, 0]
+    # np.hypot rounds as the scalar abs(); np.abs of a complex array may not
+    return np.hypot(values.real, values.imag) / (row_norms(coeffs) * row_norms(lifts))
+
+
 def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples=1000,
                             seed=0, tol=1e-10, variant="difference") -> VerifierReport:
     """Every exterior point is annihilated by a hyperplane missing the tube.
@@ -214,6 +236,10 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
     avoid the open tube.  ``variant='sum'`` flips the combination sign and
     serves as the negative control: the resulting functional has no reason
     to vanish at the point.
+
+    The points are decided in one batch.  The draws are those of checking
+    them one by one: the 64 tube witnesses, every exterior point, then the
+    kernel coefficients of each point whose separator vanishes, in order.
     """
     if not isinstance(domain.rep, HDomain):
         domain = domain.as_hdomain()
@@ -225,50 +251,33 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
         seed=seed,
         details={"variant": variant, "points": n_points},
     )
-    witnesses = tube.sample_points(rng, 64)
-    wit_lifts = np.column_stack(
-        [domain.chart.inverse @ np.append(wz, 1.0) for wz in witnesses]
-    )
-    wit_norms = np.linalg.norm(wit_lifts, axis=0)
+    wit_lifts = domain.chart.lift_rows(tube.sample_points(rng, 64))
+    wit_norms = np.linalg.norm(wit_lifts, axis=1)
     per_point = max(1, n_kernel_samples // n_points)
-    kernel_tested = 0
-    for z in tube.sample_exterior(rng, n_points):
-        lift = domain.chart.inverse @ np.append(z, 1.0)
-        if variant == "difference":
-            xi = tube_separator(domain, z)
-        else:
-            fam, vals, pair = _violating_pair(domain, lift)
-            if pair is None:
-                report.skipped += 1
-                continue
-            i, j = pair
-            xi_coeffs = vals[j] * fam[i] + vals[i] * fam[j]
-            if np.linalg.norm(xi_coeffs) < 1e-14:
-                xi = Functional(fam[i])
-            else:
-                xi = Functional(xi_coeffs)
-        report.samples_run += 1
-        value = abs(xi(lift)) / (np.linalg.norm(xi.coeffs) * np.linalg.norm(lift))
+    points = tube.sample_exterior(rng, n_points)
+    lifts = domain.chart.lift_rows(points)
+    # a point that the pairwise test puts inside the tube has no separator
+    coeffs, inside = _separator_rows(domain, lifts, variant)
+    report.skipped += int(inside.sum())
+    points, lifts, coeffs = points[~inside], lifts[~inside], coeffs[~inside]
+    report.samples_run += len(points)
+    values = _relative_values(coeffs, lifts)
+    # the kernel must miss the open tube: sampled kernel points stay out,
+    # and the tube witnesses must not lie on the kernel
+    vanish = ~(values >= tol)
+    hits = np.zeros(len(points), dtype=np.int64)
+    hits[vanish] = _kernel_probes(tube, coeffs[vanish], rng, per_point).sum(axis=1)
+    wit_vals = np.abs(coeffs @ wit_lifts.T) / (row_norms(coeffs)[:, None] * wit_norms)
+    for z, value, hit, close in zip(points, values, hits, wit_vals.min(axis=1) <= tol):
         report.observe(value)
         if value >= tol:
             report.record(f"separator fails to vanish at {z} (|xi(z)| rel {value:.3e})", value)
             continue
-        # the kernel must miss the open tube: sampled kernel points stay out
-        basis = null_space(xi.coeffs[None, :])
-        hits = 0
-        for _ in range(per_point):
-            coeff = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
-            point = HPoint(basis @ coeff)
-            kernel_tested += 1
-            if tube.contains(point):
-                hits += 1
-        if hits:
-            report.record(f"kernel of the separator at {z} meets the tube ({hits} hits)")
-        # and the tube witnesses must not lie on the kernel
-        wit_vals = np.abs(xi.coeffs @ wit_lifts) / (np.linalg.norm(xi.coeffs) * wit_norms)
-        if wit_vals.min() <= tol:
+        if hit:
+            report.record(f"kernel of the separator at {z} meets the tube ({hit} hits)")
+        if close:
             report.record(f"separator at {z} nearly vanishes on a tube point")
-    report.details["kernel_samples"] = kernel_tested
+    report.details["kernel_samples"] = per_point * int(vanish.sum())
     return report
 
 
@@ -402,44 +411,33 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
         details={"slack": slack, "dual_rep": type(dual_t.base.rep).__name__},
     )
     half = n_samples // 2
-    # dual tube members: kernels avoid the tube.  Each member's kernel is
-    # probed at 8 points, all drawn in one call: the stream of drawing the
-    # real and imaginary coefficients point by point, member by member
+    # dual tube members: kernels avoid the tube, probed at 8 points each
     etas = dual_t.sample_points(rng, half)
     report.samples_run += half
-    xis = dual_t.chart.inverse @ np.column_stack([etas, np.ones(half)])[:, :, None]
-    # the null space of a nonzero row: the last n right singular vectors
-    basis = np.linalg.svd(xis.transpose(0, 2, 1))[2][:, 1:].conj().transpose(0, 2, 1)
-    draws = rng.normal(size=(half, 8, 2, tube.n))
-    coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
-    lifts = normalize_lifts((basis[:, None] @ coeffs[..., None]).reshape(8 * half, tube.n + 1))
-    zeta, finite = tube.chart.to_chart_rows(lifts)
-    inside = np.zeros(8 * half, dtype=bool)  # chart infinity is outside
-    inside[finite] = tube.contains_rows(zeta[finite])
-    for eta in etas[inside.reshape(half, 8).any(axis=1)]:
+    for eta in etas[_kernel_probes(tube, dual_t.chart.lift_rows(etas), rng, 8).any(axis=1)]:
         report.record(f"kernel of a dual tube member {eta} meets the tube")
     # exterior separators: in the closed dual tube, vanishing at the point
     try:
         hdom = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
     except DegenerateError:  # an ellipsoid has no functional family
-        hdom = None
-    if hdom is None:
         report.skipped += half
         report.details["separator_direction"] = "skipped (no functional family)"
         return report
-    for z in Tube(hdom).sample_exterior(rng, half):
-        report.samples_run += 1
-        xi = tube_separator(hdom, z)
-        lift = hdom.chart.inverse @ np.append(z, 1.0)
-        value = abs(xi(lift)) / (np.linalg.norm(xi.coeffs) * np.linalg.norm(lift))
+    points = Tube(hdom).sample_exterior(rng, half)
+    report.samples_run += half
+    lifts = hdom.chart.lift_rows(points)
+    coeffs, inside = _separator_rows(hdom, lifts)
+    if inside.any():
+        raise InsideTubeError("the point lies inside the tube; no separator exists")
+    values = _relative_values(coeffs, lifts)
+    finite, defects = _dual_defects(dual_t, coeffs)
+    for z, value, at_finite, defect in zip(points, values, finite, defects):
         report.observe(value)
         if value >= tol:
             report.record(f"separator fails to vanish at {z}", value)
-        eta = _dual_point(dual_t.chart, xi.coeffs)
-        if eta is None:
+        if not at_finite:
             report.record(f"separator at {z} lies at dual chart infinity")
             continue
-        defect = dual_t.violation(eta)
         report.observe(max(defect, 0.0))
         if defect > slack:
             report.record(f"separator at {z} leaves the closed dual tube ({defect:.3e})", defect)

@@ -1,11 +1,11 @@
 """The batched verifiers against the per-sample loops they replaced.
 
-``_reference_*`` are the loops of `verify_duality_identity` (its kernel
-half), `verify_exhaustion_monotone`, `verify_metric_consistency` and
-`verify_homeomorphism` as they were before their samples were checked in
-row batches; ``_reference_routes`` are the one-pair bodies of the three
-metric routes.  The reports must agree to the byte, violations in the same
-order.
+``_reference_*`` are the loops of `verify_linear_convexity`,
+`verify_duality_identity`, `verify_exhaustion_monotone`,
+`verify_metric_consistency` and `verify_homeomorphism` as they were before
+their samples were checked in row batches; ``_reference_routes`` are the
+one-pair bodies of the three metric routes.  The reports must agree to the
+byte, violations in the same order.
 """
 
 from pathlib import Path
@@ -19,10 +19,10 @@ from elliptic_tubes.cli import _load_setup, build_parser, main
 from elliptic_tubes.diskgeom import poincare_distance
 from elliptic_tubes.domains import ConvexDomain, HDomain
 from elliptic_tubes.domspec import load_domain
-from elliptic_tubes.duality import dual_tube, tube_separator
+from elliptic_tubes.duality import _violating_pair, dual_tube, tube_separator
 from elliptic_tubes.errors import DegenerateError
 from elliptic_tubes.errors import RepresentationError
-from elliptic_tubes.projective import HPoint, ProjectiveMap, pushforward, row_norms
+from elliptic_tubes.projective import Functional, HPoint, ProjectiveMap, pushforward, row_norms
 from elliptic_tubes.quotients import _preserves
 from elliptic_tubes.report import VerifierReport
 from elliptic_tubes.tangent import TangentVector, from_tangent, to_tangent
@@ -34,6 +34,7 @@ from elliptic_tubes.verify import (
     verify_duality_identity,
     verify_exhaustion_monotone,
     verify_homeomorphism,
+    verify_linear_convexity,
     verify_metric_consistency,
 )
 
@@ -48,6 +49,65 @@ def _domain(name):
 
 # (domain, samples): the 3-cube's dual and the 4-simplex sample slowly
 _CASES = [(name, 40) for name in catalog.names()] + [("cube3", 6), ("simplex4", 4)]
+
+
+def _reference_linear_convexity(domain, n_points=100, n_kernel_samples=1000, seed=0, tol=1e-10,
+                                variant="difference"):
+    if not isinstance(domain.rep, HDomain):
+        domain = domain.as_hdomain()
+    tube = Tube(domain)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    report = VerifierReport(
+        name="linear_convexity",
+        tolerance=tol,
+        seed=seed,
+        details={"variant": variant, "points": n_points},
+    )
+    witnesses = tube.sample_points(rng, 64)
+    wit_lifts = np.column_stack(
+        [domain.chart.inverse @ np.append(wz, 1.0) for wz in witnesses]
+    )
+    wit_norms = np.linalg.norm(wit_lifts, axis=0)
+    per_point = max(1, n_kernel_samples // n_points)
+    kernel_tested = 0
+    for z in tube.sample_exterior(rng, n_points):
+        lift = domain.chart.inverse @ np.append(z, 1.0)
+        if variant == "difference":
+            xi = tube_separator(domain, z)
+        else:
+            fam, vals, pair = _violating_pair(domain, lift)
+            if pair is None:
+                report.skipped += 1
+                continue
+            i, j = pair
+            xi_coeffs = vals[j] * fam[i] + vals[i] * fam[j]
+            if np.linalg.norm(xi_coeffs) < 1e-14:
+                xi = Functional(fam[i])
+            else:
+                xi = Functional(xi_coeffs)
+        report.samples_run += 1
+        value = abs(xi(lift)) / (np.linalg.norm(xi.coeffs) * np.linalg.norm(lift))
+        report.observe(value)
+        if value >= tol:
+            report.record(f"separator fails to vanish at {z} (|xi(z)| rel {value:.3e})", value)
+            continue
+        # the kernel must miss the open tube: sampled kernel points stay out
+        basis = null_space(xi.coeffs[None, :])
+        hits = 0
+        for _ in range(per_point):
+            coeff = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+            point = HPoint(basis @ coeff)
+            kernel_tested += 1
+            if tube.contains(point):
+                hits += 1
+        if hits:
+            report.record(f"kernel of the separator at {z} meets the tube ({hits} hits)")
+        # and the tube witnesses must not lie on the kernel
+        wit_vals = np.abs(xi.coeffs @ wit_lifts) / (np.linalg.norm(xi.coeffs) * wit_norms)
+        if wit_vals.min() <= tol:
+            report.record(f"separator at {z} nearly vanishes on a tube point")
+    report.details["kernel_samples"] = kernel_tested
+    return report
 
 
 def _reference_duality(domain, n_samples=200, seed=0, slack=1e-9, tol=1e-10):
@@ -318,6 +378,38 @@ def _pairs(domain, seed, count):
 
 
 # ---------- the batched verifiers equal the loops ----------------------------------
+
+
+@pytest.mark.parametrize("variant", ["difference", "sum"])
+@pytest.mark.parametrize("name, samples", _CASES)
+def test_linear_convexity_matches_the_per_point_loop(name, samples, variant):
+    domain = _domain(name)
+    for seed in (0, 1, 2):
+        args = dict(n_points=samples, n_kernel_samples=10 * samples, seed=seed, variant=variant)
+        try:
+            want = _reference_linear_convexity(domain, **args).to_text(max_violations=1000)
+        except DegenerateError:  # an ellipsoid has no functional family
+            with pytest.raises(DegenerateError):
+                verify_linear_convexity(domain, **args)
+            continue
+        assert verify_linear_convexity(domain, **args).to_text(max_violations=1000) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_failing_linear_convexity_run_matches_the_loop(monkeypatch, square, seed):
+    """Separators of a square shrunk by half, with their kernels probed
+    against the tube over the whole square and a loose tolerance: kernel
+    hits and witnesses near a kernel are flagged, in the loop's order."""
+    big = Tube(square)
+    contains, contains_rows = Tube.contains, Tube.contains_rows
+    monkeypatch.setattr(Tube, "contains", lambda self, z: contains(big, z))
+    monkeypatch.setattr(Tube, "contains_rows", lambda self, zeta: contains_rows(big, zeta))
+    args = dict(n_points=30, n_kernel_samples=300, seed=seed, tol=0.1)
+    want = _reference_linear_convexity(square.scaled_copy(0.5), **args)
+    assert any("meets the tube" in m for m in want.violations)
+    assert any("nearly vanishes" in m for m in want.violations)
+    got = verify_linear_convexity(square.scaled_copy(0.5), **args)
+    assert got.to_text(max_violations=1000) == want.to_text(max_violations=1000)
 
 
 @pytest.mark.parametrize("name, samples", _CASES)

@@ -16,8 +16,14 @@ from elliptic_tubes.duality import (
     dual_tube,
     tangent_set_sample,
     tube_separator,
+    tube_separator_rows,
 )
-from elliptic_tubes.errors import InsideTubeError, NotBoundaryError
+from elliptic_tubes.errors import (
+    DegenerateError,
+    InsideTubeError,
+    NotBoundaryError,
+    RepresentationError,
+)
 from elliptic_tubes.projective import Functional, HPoint
 from elliptic_tubes.tube import Tube
 
@@ -268,16 +274,17 @@ def test_separator_inside_raises(triangle):
 
 def test_separator_vanishes_and_is_dual_member(triangle, rng):
     tube = Tube(triangle)
-    hits = 0
+    separators = []
     for z in tube.sample_exterior(rng, 120):
         xi = tube_separator(triangle, z)
         lift = triangle.chart.inverse @ np.append(z, 1.0)
         val = abs(xi.coeffs @ lift)
         scale = np.linalg.norm(xi.coeffs) * np.linalg.norm(lift)
         assert val < 1e-9 * scale
-        assert closed_dual_membership(triangle, xi, slack=1e-9)
-        hits += 1
-    assert hits == 120
+        separators.append(xi.coeffs)
+    member = closed_dual_membership(triangle, np.array(separators), slack=1e-9)
+    assert member.shape == (120,)
+    assert member.all()
 
 
 def test_separator_where_a_row_vanishes(triangle):
@@ -290,6 +297,53 @@ def test_separator_where_a_row_vanishes(triangle):
     assert _proj_match(xi.coeffs, triangle.rows()[0] @ triangle.chart.matrix)
     assert xi.coeffs @ lift == 0.0
     assert closed_dual_membership(triangle, xi, slack=1e-9)
+
+
+def _h_forms():
+    """Every catalog domain with a functional family, and the 3-cube."""
+    forms = {"cube3": load_domain(str(_PERFBENCH / "cube3.dom")).domain.as_hdomain()}
+    for name in catalog.names():
+        domain = catalog.by_name(name)
+        try:
+            forms[name] = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
+        except DegenerateError:  # an ellipsoid has none
+            pass
+    return forms
+
+
+def _same_bits(row, coeffs):
+    """Whether a complex row holds the one-point coefficients bit for bit
+    (a real vector read with zero imaginary parts), signed zeros included."""
+    return row.tobytes() == np.asarray(coeffs, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_h_forms()))
+def test_separator_rows_equal_the_one_point_separators(name):
+    domain = _h_forms()[name]
+    tube = Tube(domain)
+    zeta = tube.sample_exterior(np.random.default_rng(5), 60 if name == "cube3" else 400)
+    inner = tube.sample_points(np.random.default_rng(6), 5)
+    coeffs, inside = tube_separator_rows(domain, np.vstack([zeta, inner]))
+    assert not inside[: len(zeta)].any()
+    assert inside[len(zeta):].all()
+    for row, z in zip(coeffs, zeta):
+        assert _same_bits(row, tube_separator(domain, z).coeffs)
+
+
+def test_separator_rows_where_a_row_vanishes(triangle):
+    # the point of test_separator_where_a_row_vanishes, between two others
+    zeta = np.array([[2.0 + 0.5j, 2.0 - 1j], [0.0 + 0.0j, 0.3 + 0.2j], [2.0 + 0j, 2.0 + 0j]])
+    coeffs, inside = tube_separator_rows(triangle, zeta)
+    assert not inside.any()
+    assert coeffs.dtype == np.complex128
+    for row, z in zip(coeffs, zeta):
+        assert _same_bits(row, tube_separator(triangle, z).coeffs)
+    assert not np.iscomplexobj(tube_separator(triangle, zeta[1]).coeffs)
+
+
+def test_separator_rows_need_an_h_domain(ellipse):
+    with pytest.raises(RepresentationError):
+        tube_separator_rows(ellipse, np.array([[2.0 + 0j, 0.0 + 0j]]))
 
 
 def test_separator_real_exterior_point(triangle):
@@ -352,3 +406,21 @@ def test_closed_dual_membership_examples(square):
     assert not closed_dual_membership(square, np.array([1.0, 0.0, 0.0]))
     # a supporting line of the edge x = 1 is a closed (not open) member
     assert closed_dual_membership(square, np.array([1.0, 0.0, -1.0]), slack=1e-9)
+
+
+@pytest.mark.parametrize("name", ["square", "triangle", "ellipse", "halfline"])
+def test_closed_dual_membership_of_a_stack_answers_each_row(name, rng):
+    # members, non-members, a functional at dual chart infinity and the
+    # real hyperplane at chart infinity, each row answered as the
+    # one-functional call answers it
+    domain = catalog.by_name(name)
+    n = domain.n
+    stack = rng.normal(size=(40, n + 1)) + 1j * rng.normal(size=(40, n + 1))
+    at_infinity = dual_chart(domain).matrix[-1]
+    stack[0] -= (stack[0] @ at_infinity) / (at_infinity @ at_infinity) * at_infinity
+    stack[1] = np.eye(n + 1)[-1]
+    want = [closed_dual_membership(domain, xi) for xi in stack]
+    assert all(isinstance(answer, bool) for answer in want)
+    assert closed_dual_membership(domain, stack).tolist() == want
+    assert not want[0]
+    assert any(want) and not all(want)

@@ -23,6 +23,7 @@ from elliptic_tubes.tube import (
     REAL_BOUNDARY,
     Tube,
     pair_gram,
+    pair_gram_rows,
 )
 
 
@@ -386,3 +387,32 @@ def test_pair_gram_matches_double_loop(vals):
     assert pair == first
     assert gram.min() == min(min(row) for row in table)
     assert gram.shape == (m, m)
+
+
+# the one-row values with NaN entries added: NaN pairs never violate
+_ROW_VALUE = st.one_of(_VALUE, st.just(complex(math.nan, 0.0)), st.just(complex(1.0, math.nan)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.lists(_ROW_VALUE, min_size=m, max_size=m), min_size=0, max_size=6)))
+def test_pair_gram_rows_find_each_rows_first_pair(rows):
+    m = len(rows[0]) if rows else 3
+    vals = np.array(rows, dtype=np.complex128).reshape(len(rows), m)
+    gram, i, j, found = pair_gram_rows(vals)
+    assert gram.shape == (len(rows), m, m)
+    for k, row in enumerate(vals):
+        one_gram, pair = pair_gram(row)
+        assert np.array_equal(one_gram, gram[k], equal_nan=True)
+        assert found[k] == (pair is not None)
+        assert (i[k], j[k]) == (pair if pair is not None else (0, 0))
+
+
+@pytest.mark.parametrize("name", ["square", "triangle", "halfline", "ellipse", "disk"])
+def test_violation_rows_round_as_the_one_point_calls(name, rng):
+    tube = Tube(catalog.by_name(name))
+    zeta = np.vstack([tube.sample_points(rng, 100),
+                      rng.normal(size=(200, tube.n)) + 1j * rng.normal(size=(200, tube.n))])
+    got = tube.violation_rows(zeta)
+    assert got.tobytes() == np.array([tube.violation(z) for z in zeta]).tobytes()
+    assert (got < 0.0).any() and (got > 0.0).any()
