@@ -29,7 +29,7 @@ from .diskgeom import (
     geodesic_foot,
     poincare_distance,
 )
-from .domains import ConvexDomain, Ellipsoid, HDomain, Interval, VPolytope, contains_barycentric
+from .domains import ConvexDomain, Ellipsoid, HDomain, SliceDisk, VPolytope, contains_barycentric
 from .domspec import DomainSpec, format_domain_text, load_domain, parse_domain_text, save_domain
 from .duality import (
     DualDomain,
@@ -92,7 +92,6 @@ from .tube import (
     EXTERIOR,
     INTERIOR,
     REAL_BOUNDARY,
-    SliceDisk,
     Tube,
     interval_gauges,
 )

@@ -17,11 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diskgeom import poincare_distance
 from .errors import (
     CollinearityError,
     DegenerateError,
     DrawBudgetError,
     NotInteriorError,
+    OutsideTubeError,
+    UnsupportedConfigurationError,
     ValidationError,
     ZeroDirectionError,
 )
@@ -38,6 +41,8 @@ from .projective import (
 )
 from .report import VerifierReport
 
+# chart-level reality band: imaginary part below this relative size is dust
+_REAL_BAND = 1e-12
 _PARALLEL_TOL = 1e-13
 _DEGENERATE_CLIP = 1e-10
 # box-rejection samplers: the most draws one call may make (about a minute
@@ -129,24 +134,67 @@ class Ellipsoid:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """An open segment cut out of a domain by a real line.
+class SliceDisk:
+    """The clip interval (a, b) of a real chart line through a domain, and
+    the disk with that diameter that the complexified line cuts out of the
+    domain's tube.
 
-    ``a < b`` are parameters of the chart parametrization
-    ``t -> x0 + t * direction`` inherited from the line's span basis.  The
-    endpoint lifts ``v0, v1`` have chart-infinity component 1, so interior
-    points are exactly the classes of ``c0 v0 + c1 v1`` with ``c0 c1 > 0``.
+    Line coordinates refer to the chart parametrization
+    ``tau -> x0 + tau * direction`` with a unit chart direction.  The
+    endpoint lifts ``v0, v1`` have chart-infinity component 1, so points of
+    the open segment are exactly the classes of ``c0 v0 + c1 v1`` with
+    ``c0 c1 > 0``.  ``to_unit_disk`` is the real affine map sending the
+    interval onto (-1, 1) (so it commutes with complex conjugation), and the
+    slice itself onto the open unit disk.
     """
 
     x0: np.ndarray
     direction: np.ndarray
     a: float
     b: float
-    v0: np.ndarray
-    v1: np.ndarray
+    chart: Chart
+
+    @property
+    def v0(self):
+        return self.chart.lift(self.point(self.a))
+
+    @property
+    def v1(self):
+        return self.chart.lift(self.point(self.b))
 
     def endpoint_points(self):
-        return self.x0 + self.a * self.direction, self.x0 + self.b * self.direction
+        return self.point(self.a), self.point(self.b)
+
+    def to_unit_disk(self, tau):
+        return (2.0 * tau - (self.a + self.b)) / (self.b - self.a)
+
+    def from_unit_disk(self, m):
+        return 0.5 * ((self.b - self.a) * m + (self.a + self.b))
+
+    def coord(self, zeta, tol=1e-9):
+        """Line coordinate of a chart point on the complexified line."""
+        zeta = np.asarray(zeta, dtype=np.complex128).reshape(self.x0.shape)
+        tau = (zeta - self.x0) @ self.direction
+        residual = np.linalg.norm(zeta - self.x0 - tau * self.direction)
+        scale = 1.0 + np.linalg.norm(zeta)
+        if residual > tol * scale:
+            raise UnsupportedConfigurationError("point is not on the slice line")
+        if abs(tau.imag) <= _REAL_BAND * (1.0 + abs(tau)):
+            return float(tau.real)
+        return complex(tau)
+
+    def point(self, tau):
+        """Chart point of a line coordinate (complex allowed)."""
+        return self.x0 + tau * self.direction
+
+    def poincare(self, tau1, tau2):
+        """Poincare distance between two line coordinates inside the slice."""
+        m1 = self.to_unit_disk(complex(tau1))
+        m2 = self.to_unit_disk(complex(tau2))
+        try:
+            return poincare_distance(m1, m2)
+        except ValueError:
+            raise OutsideTubeError("both points must lie inside the slice")
 
 
 def _facet_rows(verts):
@@ -383,7 +431,7 @@ class ConvexDomain:
 
         ``x0`` and ``directions`` are (B, n) arrays, the directions of unit
         length: the code that builds a line (:meth:`_line_data`,
-        :meth:`_pair_directions`, ``Tube._trace_clips``) divides its
+        :meth:`_pair_clips`, ``Tube._trace_clips``) divides its
         direction by its norm once, and nothing divides it again.  Returns
         ``(a, b, ok)``, three (B,) arrays: ``ok`` is false where the line
         misses the domain or its clip is shorter than 1e-10 (and ``a``,
@@ -421,34 +469,18 @@ class ConvexDomain:
         hi[~ok] = np.nan
         return lo, hi, ok
 
-    def _unit_clip(self, line):
-        """``(x0, direction, a, b)`` of :meth:`line_clip` without building
-        the interval: the line's chart form with a unit direction and its
-        clip, or None when the clip is empty."""
-        x0, direction = self._line_data(line)
-        a, b, ok = self.clip_lines(x0[None], direction[None])
-        return (x0, direction, float(a[0]), float(b[0])) if ok[0] else None
-
     def line_clip(self, line):
         """Intersect a real line with the domain.
 
         ``line`` is a RealLine or an ``(x0, direction)`` pair in chart
-        coordinates.  Returns an :class:`Interval` (endpoints exact roots of
-        the facet functionals or of the boundary quadric) or None when the
+        coordinates.  Returns the :class:`SliceDisk` over the clip, with the
+        line's direction made unit (endpoints exact roots of the facet
+        functionals or of the boundary quadric), or None when the
         intersection is empty or shorter than 1e-10.
         """
-        clip = self._unit_clip(line)
-        if clip is None:
-            return None
-        x0, direction, lo, hi = clip
-        return Interval(
-            x0=x0,
-            direction=direction,
-            a=lo,
-            b=hi,
-            v0=self.chart.lift(x0 + lo * direction),
-            v1=self.chart.lift(x0 + hi * direction),
-        )
+        x0, direction = self._line_data(line)
+        a, b, ok = self.clip_lines(x0[None], direction[None])
+        return SliceDisk(x0, direction, float(a[0]), float(b[0]), self.chart) if ok[0] else None
 
     # ------------------------------------------------------------------
     # metric quantities
@@ -464,23 +496,24 @@ class ConvexDomain:
         arrays, each row rounded as the one-pair call rounds it."""
         if not (self.contains_rows(x).all() and self.contains_rows(y).all()):
             raise NotInteriorError("hilbert distance needs interior points")
-        sep, direction = self._pair_directions(x, y)
-        a, b, ok = self.clip_lines(x, direction)
+        sep, _, a, b, ok = self._pair_clips(x, y)
         if not ok.all():
             raise DegenerateError("interior points produced an empty clip")
         value = ((a - sep) * b) / (a * (b - sep))
         return np.where(sep < 1e-15, 0.0, 0.5 * np.log(value))
 
-    def _pair_directions(self, x, y):
-        """``(sep, direction)`` for the paired rows of two (B, n) chart
-        arrays: ``|y - x|`` and the unit direction ``(y - x) / sep`` that
-        every metric route clips.  Rows with ``sep < 1e-15`` get the first
-        coordinate axis."""
+    def _pair_clips(self, x, y):
+        """``(sep, direction, a, b, ok)`` for the paired rows of two (B, n)
+        chart arrays: ``|y - x|``, the unit direction ``(y - x) / sep`` that
+        every metric route clips, and the :meth:`clip_lines` of the line
+        through x in that direction.  Rows with ``sep < 1e-15`` get the
+        first coordinate axis."""
         delta = y - x
         sep = row_norms(delta)
         same = sep < 1e-15
         delta[same] = np.eye(self.n)[0]
-        return sep, delta / np.where(same, 1.0, sep)[:, None]
+        direction = delta / np.where(same, 1.0, sep)[:, None]
+        return (sep, direction) + self.clip_lines(x, direction)
 
     def finsler_norm(self, x, w):
         """Infinitesimal Hilbert norm of a chart tangent vector at x."""
@@ -491,8 +524,10 @@ class ConvexDomain:
         speed = np.linalg.norm(w)
         if speed == 0.0:
             return 0.0
-        _, _, a, b = self._unit_clip((x, w))
-        return 0.5 * (1.0 / -a + 1.0 / b) * speed
+        clip = self.line_clip((x, w))
+        if clip is None:
+            raise DegenerateError("an interior point produced an empty clip")
+        return 0.5 * (1.0 / -clip.a + 1.0 / clip.b) * speed
 
     def cross_ratio_check(self, x, y):
         """Hilbert distance recomputed through the projective cross ratio
@@ -504,8 +539,7 @@ class ConvexDomain:
     def cross_ratio_rows(self, x, y):
         """:meth:`cross_ratio_check` of the paired rows of two (B, n) chart
         arrays, each row rounded as the one-pair call rounds it."""
-        sep, direction = self._pair_directions(x, y)
-        a, b, ok = self.clip_lines(x, direction)
+        sep, direction, a, b, ok = self._pair_clips(x, y)
         if not ok.all():
             raise DegenerateError("interior points produced an empty clip")
         points = np.stack([x + a[:, None] * direction, x, y, x + b[:, None] * direction], axis=1)

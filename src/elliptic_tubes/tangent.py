@@ -16,7 +16,7 @@ import numpy as np
 from .diskgeom import geodesic_foot, point_at_distance
 from .errors import EmptySliceError, NotInteriorError, ZeroDirectionError
 from .projective import row_norms
-from .tube import Tube, _disk_foot
+from .tube import Tube
 
 __all__ = [
     "TangentVector",
@@ -61,19 +61,10 @@ def to_tangent(tube: Tube, z) -> TangentVector:
     points with positive imaginary line coordinate map to the positive
     direction) gives the direction, and the core distance the magnitude.
     """
-    parts = tube._split(z)
-    if parts is None:
-        raise NotInteriorError("point lies at chart infinity")
-    x, y, real_flag = parts
-    if real_flag:
-        if not tube.base.contains(x):
-            raise NotInteriorError("real points must lie inside the base")
+    x, _, disk = tube._query(z)
+    if disk is None:
         return TangentVector(x, np.zeros(tube.n), 0.0)
-    disk = tube.slice_disk(z)
-    tau = disk.coord(tube.chart_complex(z))
-    w = disk.to_unit_disk(tau)
-    foot_disk, dist = _disk_foot(w)
-    base = disk.point(disk.from_unit_disk(foot_disk)).real
+    w, base, dist = tube._foot(z, disk)
     sign = 1.0 if w.imag > 0.0 else -1.0
     return TangentVector(base, sign * disk.direction, dist)
 
@@ -83,17 +74,14 @@ def to_tangent_rows(tube: Tube, zeta):
     row rounded as the one-point call rounds it: ``(base, direction,
     magnitude)``, two (B, n) arrays and a (B,) array.  Raises as the
     one-point call raises when any row would."""
-    x, y, real = tube._split_rows(zeta)
-    if not tube.base.contains_rows(x[real]).all():
-        raise NotInteriorError("real points must lie inside the base")
+    x, y, real, speed, a, b = tube._query_rows(zeta)
+    unit, w_im, foot, dist = tube._slice_foot_rows(x[~real], y[~real], speed, a, b)
     base = x.copy()
+    base[~real] = foot
     direction = np.zeros_like(x)
+    direction[~real] = np.where(w_im > 0.0, 1.0, -1.0)[:, None] * unit
     magnitude = np.zeros(len(x))
-    if not real.all():
-        unit, w_im, foot, dist = tube._slice_foot_rows(x[~real], y[~real])
-        base[~real] = foot
-        direction[~real] = np.where(w_im > 0.0, 1.0, -1.0)[:, None] * unit
-        magnitude[~real] = dist
+    magnitude[~real] = dist
     return base, direction, magnitude
 
 

@@ -15,7 +15,6 @@ Membership is implemented twice on purpose: through the slice geometry
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,8 @@ from .diskgeom import (
     distance_from_angle,
     geodesic_foot,
     geodesic_foot_rows,
-    poincare_distance,
 )
-from .domains import ConvexDomain, HDomain, box_rejection
+from .domains import _REAL_BAND, ConvexDomain, HDomain, _quadratic, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -33,12 +31,8 @@ from .errors import (
     OutsideTubeError,
     RealPointError,
     RepresentationError,
-    UnsupportedConfigurationError,
 )
 from .projective import HPoint, _affine, _rowdot, row_norms
-
-# chart-level reality band: imaginary part below this relative size is dust
-_REAL_BAND = 1e-12
 
 INTERIOR = "Interior"
 EXTERIOR = "Exterior"
@@ -46,54 +40,6 @@ REAL_BOUNDARY = "RealBoundary"
 COMPLEX_BOUNDARY = "ComplexBoundary"
 _KINDS = (INTERIOR, EXTERIOR, REAL_BOUNDARY, COMPLEX_BOUNDARY)
 _INTERIOR, _EXTERIOR, _REAL_BOUNDARY, _COMPLEX_BOUNDARY = range(4)
-
-
-@dataclass(frozen=True)
-class SliceDisk:
-    """The disk cut out of a tube by one complexified real line.
-
-    Line coordinates refer to the chart parametrization
-    ``tau -> x0 + tau * direction`` with a unit chart direction; the clip
-    interval is (a, b).  ``to_unit_disk`` is the real affine map sending the
-    interval onto (-1, 1) (so it commutes with complex conjugation), and the
-    slice itself onto the open unit disk.
-    """
-
-    x0: np.ndarray
-    direction: np.ndarray
-    a: float
-    b: float
-
-    def to_unit_disk(self, tau):
-        return (2.0 * tau - (self.a + self.b)) / (self.b - self.a)
-
-    def from_unit_disk(self, m):
-        return 0.5 * ((self.b - self.a) * m + (self.a + self.b))
-
-    def coord(self, zeta, tol=1e-9):
-        """Line coordinate of a chart point on the complexified line."""
-        zeta = np.asarray(zeta, dtype=np.complex128).reshape(self.x0.shape)
-        tau = (zeta - self.x0) @ self.direction
-        residual = np.linalg.norm(zeta - self.x0 - tau * self.direction)
-        scale = 1.0 + np.linalg.norm(zeta)
-        if residual > tol * scale:
-            raise UnsupportedConfigurationError("point is not on the slice line")
-        if abs(tau.imag) <= _REAL_BAND * (1.0 + abs(tau)):
-            return float(tau.real)
-        return complex(tau)
-
-    def point(self, tau):
-        """Chart point of a line coordinate (complex allowed)."""
-        return self.x0 + tau * self.direction
-
-    def poincare(self, tau1, tau2):
-        """Poincare distance between two line coordinates inside the slice."""
-        m1 = self.to_unit_disk(complex(tau1))
-        m2 = self.to_unit_disk(complex(tau2))
-        try:
-            return poincare_distance(m1, m2)
-        except ValueError:
-            raise OutsideTubeError("both points must lie inside the slice")
 
 
 class Tube:
@@ -159,8 +105,9 @@ class Tube:
         x, y, real_flag = parts
         if real_flag:
             return self.base.contains(x)
-        speed, a, b, ok = self._trace_clips(x[None], y[None])
-        return bool(ok[0] and _in_disk(speed[0], a[0], b[0]))
+        speed, a, b, _ = self._trace_clips(x[None], y[None])
+        on_slice, prod = _gauge_product(speed[0], a[0], b[0])
+        return bool(on_slice and prod < 1.0)
 
     def contains_rows(self, zeta):
         """:meth:`contains` of every row of a (B, n) complex chart array:
@@ -171,8 +118,8 @@ class Tube:
         inside = np.empty(len(x), dtype=bool)
         inside[real] = self.base.contains_rows(x[real])
         if not real.all():
-            speed, a, b, ok = self._trace_clips(x[~real], y[~real])
-            inside[~real] = ok & _in_disk(speed, a, b)
+            on_slice, prod = _gauge_product(*self._trace_clips(x[~real], y[~real])[:3])
+            inside[~real] = on_slice & (prod < 1.0)
         return inside
 
     def contains_pairwise(self, z):
@@ -206,9 +153,12 @@ class Tube:
     def violation_rows(self, zeta):
         """:meth:`violation` of every row of a (B, n) chart array, each row
         rounded as the one-point call rounds it."""
+        zeta = np.asarray(zeta, dtype=np.complex128)
         if self.base._rows is None:
-            return np.array([self.violation(z) for z in zeta], dtype=np.float64)
-        lifts = _affine(np.asarray(zeta, dtype=np.complex128))
+            center, shape = self.base.ellipsoid_data()
+            u = zeta.real - center
+            return _quadratic(u, shape, u) + _quadratic(zeta.imag, shape, zeta.imag) - 1.0
+        lifts = _affine(zeta)
         gram, _, _, _ = pair_gram_rows(_rowdot(self.base.rows(), lifts))
         # float ** 2 calls libm pow, which does not always round as r * r does
         square = np.array([r ** 2 for r in row_norms(lifts).tolist()], dtype=np.float64)
@@ -240,54 +190,61 @@ class Tube:
     def slice_on_line(self, x0, direction):
         """The slice over the real chart line ``t -> x0 + t direction``;
         the disk's direction is ``direction`` made unit."""
-        clip = self.base._unit_clip((x0, direction))
-        if clip is None:
-            raise EmptySliceError("the line does not meet the base domain")
-        x0, direction, a, b = clip
-        return SliceDisk(x0=x0, direction=direction, a=a, b=b)
+        disk = self.base.line_clip((x0, direction))
+        if disk is None:
+            raise EmptySliceError(_EMPTY_SLICE)
+        return disk
 
     # ------------------------------------------------------------------
     # boundary gauges
 
-    def _gauges(self, z):
-        """(p(z), p(conj z)) for z = x + iy with x in the base domain."""
+    def _query(self, z):
+        """``(x, y, disk)`` of a one-point query at z: the parts of
+        :meth:`_split` and the slice through z, None for a real z.  Raises
+        when z lies at chart infinity, when its real part lies outside the
+        base, and when the trace line's clip is empty."""
         parts = self._split(z)
         if parts is None:
             raise OutsideTubeError("point lies at chart infinity")
         x, y, real_flag = parts
         if not self.base.contains(x):
-            raise NotInteriorError("the real part must lie inside the base")
-        if real_flag:
-            return 0.0, 0.0
-        speed, a, b, _ = self._trace_clips(x[None], y[None])
-        # x interior implies a < 0 < b
-        return _gauge_pair(speed[0], a[0], b[0])
+            raise NotInteriorError(_NOT_INTERIOR)
+        return x, y, None if real_flag else self.slice_on_line(x, y)
+
+    def _query_rows(self, zeta):
+        """:meth:`_query` of every row of a (B, n) complex chart array, each
+        row rounded as the one-point call rounds it: ``(x, y, real, speed,
+        a, b)``, the parts of :meth:`_split_rows`, and ``|y|`` and the trace
+        line's clip (a, b) of the non-real rows.  Raises as the one-point
+        call raises when any row would."""
+        x, y, real = self._split_rows(zeta)
+        if not self.base.contains_rows(x).all():
+            raise NotInteriorError(_NOT_INTERIOR)
+        speed, a, b, ok = self._trace_clips(x[~real], y[~real])
+        if not ok.all():
+            raise EmptySliceError(_EMPTY_SLICE)
+        return x, y, real, speed, a, b
+
+    def _foot(self, z, disk):
+        """``(w, foot, dist)`` of a non-real point z inside its slice: the
+        unit-disk coordinate of z, the nearest core point and the Poincare
+        distance to it."""
+        w = disk.to_unit_disk(disk.coord(self.chart_complex(z)))
+        foot_disk, dist = _disk_foot(w)
+        return w, disk.point(disk.from_unit_disk(foot_disk)).real, dist
 
     def u_value(self, z):
         """Boundary angle ``arctan(p + p~, 1 - p p~)`` in [0, pi/2)."""
-        p_plus, p_minus = self._gauges(z)
-        prod = p_plus * p_minus
-        if prod >= 1.0 + 1e-12:
-            raise OutsideTubeError("point lies outside the closed tube")
-        return math.atan2(p_plus + p_minus, 1.0 - prod)
+        _, y, disk = self._query(z)
+        return 0.0 if disk is None else _angle(row_norms(y[None])[0], disk.a, disk.b)
 
     def u_value_rows(self, zeta):
         """:meth:`u_value` of every row of a (B, n) complex chart array, each
         row rounded as the one-point call rounds it."""
-        x, y, real = self._split_rows(zeta)
-        if not self.base.contains_rows(x).all():
-            raise NotInteriorError("the real part must lie inside the base")
-        p_plus = np.zeros(len(x))
-        p_minus = np.zeros(len(x))
-        if not real.all():
-            speed, a, b, _ = self._trace_clips(x[~real], y[~real])
-            p_plus[~real], p_minus[~real] = _gauge_pair(speed, a, b)
-        prod = p_plus * p_minus
-        if np.any(prod >= 1.0 + 1e-12):
-            raise OutsideTubeError("point lies outside the closed tube")
-        # math.atan2, as the one-point call takes it: np.arctan2 rounds differently
-        return np.array([math.atan2(s, c) for s, c in
-                         zip((p_plus + p_minus).tolist(), (1.0 - prod).tolist())])
+        x, _, real, speed, a, b = self._query_rows(zeta)
+        u = np.zeros(len(x))
+        u[~real] = _angle_rows(speed, a, b)
+        return u
 
     def core_distance(self, z):
         """Kobayashi distance to the real core and the nearest core point.
@@ -296,47 +253,33 @@ class Tube:
         geometrically in the normalized slice disk and mapped back.  Both
         routes to the distance agree within 1e-9.
         """
-        parts = self._split(z)
-        if parts is None:
-            raise OutsideTubeError("point lies at chart infinity")
-        x, y, real_flag = parts
-        if real_flag:
-            if not self.base.contains(x):
-                raise NotInteriorError("the real part must lie inside the base")
+        x, y, disk = self._query(z)
+        if disk is None:
             return 0.0, x
-        u = self.u_value(z)
-        dist = distance_from_angle(u)
-        disk = self.slice_disk(z)
-        w = disk.to_unit_disk(disk.coord(self.chart_complex(z)))
-        foot_disk, _ = _disk_foot(w)
-        foot = disk.point(disk.from_unit_disk(foot_disk)).real
-        return dist, foot
+        dist = distance_from_angle(_angle(row_norms(y[None])[0], disk.a, disk.b))
+        return dist, self._foot(z, disk)[1]
 
     def core_distance_rows(self, zeta):
         """:meth:`core_distance` of every row of a (B, n) complex chart
         array, each row rounded as the one-point call rounds it: ``(dist,
         foot)``, a (B,) and a (B, n) array.  Raises as the one-point call
         raises when any row would."""
-        # a real row has u = 0, and distance_from_angle(0.0) is 0.0
-        dist = np.array([distance_from_angle(u) for u in self.u_value_rows(zeta).tolist()])
-        x, y, real = self._split_rows(zeta)
+        x, y, real, speed, a, b = self._query_rows(zeta)
+        dist = np.zeros(len(x))
+        dist[~real] = [distance_from_angle(u) for u in _angle_rows(speed, a, b).tolist()]
         foot = x.copy()
-        if not real.all():
-            foot[~real] = self._slice_foot_rows(x[~real], y[~real])[2]
+        foot[~real] = self._slice_foot_rows(x[~real], y[~real], speed, a, b)[2]
         return dist, foot
 
-    def _slice_foot_rows(self, x, y):
+    def _slice_foot_rows(self, x, y, speed, a, b):
         """The slice geometry of the non-real points x + iy, rows of (B, n)
-        arrays, each row rounded as :meth:`slice_disk`,
-        :meth:`SliceDisk.coord`, :meth:`SliceDisk.to_unit_disk` and
-        :func:`_disk_foot` round one point: ``(direction, w_im, foot,
-        dist)``, the slice's unit chart direction, the imaginary part of the
-        point's unit-disk coordinate, the nearest core point and the
-        Poincare distance to it."""
-        direction = y / row_norms(y)[:, None]
-        a, b, ok = self.base.clip_lines(x, direction)
-        if not ok.all():
-            raise EmptySliceError("the line does not meet the base domain")
+        arrays, at height ``speed = |y|`` over the clip (a, b) of their trace
+        lines (see :meth:`_query_rows`), each row rounded as :meth:`_foot`
+        rounds one point: ``(direction, w_im, foot, dist)``, the slice's
+        unit chart direction, the imaginary part of the point's unit-disk
+        coordinate, the nearest core point and the Poincare distance to
+        it."""
+        direction = y / speed[:, None]  # as _trace_clips rounds it
         # SliceDisk.coord: the point minus x0 = x is exactly 0 + iy, and its
         # line coordinate the complex dot product with the direction
         offset = np.zeros(y.shape, dtype=np.complex128)
@@ -377,12 +320,7 @@ class Tube:
         kinds[real & (np.abs(m) < band)] = _REAL_BOUNDARY
         sliced = inside & ~real
         if np.any(sliced):
-            speed, a, b, _ = self._trace_clips(x[sliced], y[sliced])
-            # a line that misses the base has NaN ends: exterior
-            on_slice = (a < 0.0) & (b > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_plus, p_minus = _gauge_pair(speed, a, b)
-                prod = p_plus * p_minus
+            on_slice, prod = _gauge_product(*self._trace_clips(x[sliced], y[sliced])[:3])
             sub = np.where(on_slice & (prod < 1.0), _INTERIOR, _EXTERIOR)
             sub[on_slice & (np.abs(prod - 1.0) < band)] = _COMPLEX_BOUNDARY
             kinds[sliced] = sub
@@ -419,10 +357,9 @@ class Tube:
         slice over the real line through x and y."""
         if not (self.base.contains_rows(x).all() and self.base.contains_rows(y).all()):
             raise NotInteriorError("real points must lie inside the base")
-        sep, direction = self.base._pair_directions(x, y)
-        a, b, ok = self.base.clip_lines(x, direction)
+        sep, _, a, b, ok = self.base._pair_clips(x, y)
         if not ok.all():
-            raise EmptySliceError("the line does not meet the base domain")
+            raise EmptySliceError(_EMPTY_SLICE)
         # SliceDisk.to_unit_disk of the two line coordinates
         m_x = -(a + b) / (b - a)
         m_y = (2.0 * sep - (a + b)) / (b - a)
@@ -512,6 +449,9 @@ class Tube:
 
 
 _OFF_DISK = "point lies outside the open tube"
+_OFF_CLOSED = "point lies outside the closed tube"
+_NOT_INTERIOR = "the real part must lie inside the base"
+_EMPTY_SLICE = "the line does not meet the base domain"
 
 
 def _disk_foot(w):
@@ -528,18 +468,42 @@ def _real_rows(x, y):
     return row_norms(y) <= _REAL_BAND * (1.0 + row_norms(x))
 
 
-def _in_disk(speed, a, b):
-    """Whether the height ``i speed`` over the clip (a, b) lies inside the
-    disk with diameter (a, b)."""
-    c = 0.5 * (a + b)
-    r = 0.5 * (b - a)
-    return speed * speed + c * c < r * r
-
-
 def _gauge_pair(speed, a, b):
     """The gauges ``(p(z), p(conj z))`` of a point at height ``speed`` above
     the clip (a, b) of its trace line."""
     return speed / b, speed / -a
+
+
+def _gauge_product(speed, a, b):
+    """``(on_slice, prod)`` for points at heights ``speed`` above the clips
+    (a, b) of their trace lines, scalars or (B,) arrays: whether ``a < 0 < b`` (false
+    for the NaN ends of a line that misses the base) and the gauge product
+    ``p(z) p(conj z)``.  A point lies in its slice when both
+    ``a < 0 < b`` and the product is below 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_plus, p_minus = _gauge_pair(speed, a, b)
+        return (a < 0.0) & (b > 0.0), p_plus * p_minus
+
+
+def _angle(speed, a, b):
+    """The boundary angle of a point at height ``speed`` above the clip
+    (a, b), ``a < 0 < b``, of its trace line; raises off the closed tube."""
+    p_plus, p_minus = _gauge_pair(speed, a, b)
+    prod = p_plus * p_minus
+    if prod >= 1.0 + 1e-12:
+        raise OutsideTubeError(_OFF_CLOSED)
+    return math.atan2(p_plus + p_minus, 1.0 - prod)
+
+
+def _angle_rows(speed, a, b):
+    """:func:`_angle` of (B,) arrays, each row rounded as it rounds one."""
+    p_plus, p_minus = _gauge_pair(speed, a, b)
+    prod = p_plus * p_minus
+    if np.any(prod >= 1.0 + 1e-12):
+        raise OutsideTubeError(_OFF_CLOSED)
+    # math.atan2, as the one-point call takes it: np.arctan2 rounds differently
+    return np.array([math.atan2(s, c) for s, c in
+                     zip((p_plus + p_minus).tolist(), (1.0 - prod).tolist())])
 
 
 def interval_gauges(a, b, s, t):

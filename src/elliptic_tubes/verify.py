@@ -496,8 +496,7 @@ def _route_conditions(domain: ConvexDomain, x, y):
       with a constant of 4 * 7 = 28.  It grows as the clip's length over
       its smallest boundary gap.
     """
-    sep, direction = domain._pair_directions(x, y)
-    a, b, _ = domain.clip_lines(x, direction)
+    sep, _, a, b, _ = domain._pair_clips(x, y)
     length = b - a
     kappa_p = length ** 4 / (16.0 * -a * b * (sep - a) * (b - sep))
     scale = np.linalg.cond(domain.chart.matrix) * (1.0 + row_norms(x) + length)

@@ -9,12 +9,13 @@ from elliptic_tubes.domains import (
     ConvexDomain,
     Ellipsoid,
     HDomain,
+    SliceDisk,
     VPolytope,
     _facet_rows,
     contains_barycentric,
 )
 from elliptic_tubes.domspec import load_domain
-from elliptic_tubes.errors import NotInteriorError, ValidationError
+from elliptic_tubes.errors import DegenerateError, NotInteriorError, ValidationError
 from elliptic_tubes.projective import Chart, Functional, HPoint
 
 
@@ -166,6 +167,17 @@ def test_missing_line_clips_to_none(square):
     assert square.line_clip((np.array([5.0, 0.0]), np.array([0.0, 1.0]))) is None
 
 
+def test_line_clip_is_the_slice_disk_of_its_line(square):
+    line = (np.array([0.1, -0.2]), np.array([2.0, 0.6]))
+    clip = square.line_clip(line)
+    assert isinstance(clip, SliceDisk)
+    np.testing.assert_array_equal(clip.direction, line[1] / np.linalg.norm(line[1]))
+    pa, pb = clip.endpoint_points()
+    assert square.margin(pa) == pytest.approx(0.0, abs=1e-15)
+    assert square.margin(pb) == pytest.approx(0.0, abs=1e-15)
+    assert clip.to_unit_disk(clip.a) == -1.0 and clip.to_unit_disk(clip.b) == 1.0
+
+
 def test_clip_endpoint_lifts_have_unit_infinity(square, rng):
     x0 = np.array([0.1, -0.2])
     clip = square.line_clip((x0, np.array([1.0, 0.3]) / np.linalg.norm([1.0, 0.3])))
@@ -222,6 +234,17 @@ def test_finsler_norm_matches_finite_differences(ellipse, rng):
         fd = ellipse.hilbert_distance(x - eps * w, x + eps * w) / (2 * eps)
         assert norm == pytest.approx(fd, rel=1e-6)
         checked += 1
+
+
+def test_metric_on_a_sliver_is_degenerate():
+    # every line through the interval (0, 5e-11) clips shorter than 1e-10,
+    # so the clip is empty even through an interior point
+    sliver = catalog.interval(0.0, 5e-11)
+    assert sliver.contains([2.5e-11])
+    with pytest.raises(DegenerateError):
+        sliver.finsler_norm([2.5e-11], [1.0])
+    with pytest.raises(DegenerateError):
+        sliver.hilbert_distance([1e-11], [3e-11])
 
 
 def test_finsler_scales_linearly(triangle, rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elliptic_tubes import catalog
+from elliptic_tubes.domains import SliceDisk
 from elliptic_tubes.errors import (
     GroupValidationError,
     InfinityError,
@@ -17,7 +18,6 @@ from elliptic_tubes.quotients import (
     quotient_distance_cyclic,
 )
 from elliptic_tubes.report import VerifierReport
-from elliptic_tubes.tube import SliceDisk
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from elliptic_tubes import catalog
 from elliptic_tubes.diskgeom import poincare_distance
-from elliptic_tubes.domains import ConvexDomain, VPolytope
-from elliptic_tubes.duality import dual_of
+from elliptic_tubes.domains import ConvexDomain, Ellipsoid, VPolytope
+from elliptic_tubes.duality import dual_of, dual_tube
 from elliptic_tubes.errors import (
     EmptySliceError,
     NotInteriorError,
@@ -16,6 +16,7 @@ from elliptic_tubes.errors import (
     RealPointError,
 )
 from elliptic_tubes.projective import Chart, HPoint, ProjectiveMap
+from elliptic_tubes.tangent import to_tangent
 from elliptic_tubes.tube import (
     COMPLEX_BOUNDARY,
     EXTERIOR,
@@ -167,6 +168,30 @@ def test_slice_on_missing_line(square):
         Tube(square).slice_on_line(np.array([5.0, 0.0]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("name", ["square", "triangle", "simplex", "ellipse", "halfline"])
+def test_each_query_clips_its_trace_line_once(monkeypatch, name):
+    tube = Tube(catalog.by_name(name))
+    zs = tube.sample_points(np.random.default_rng(2), 20)
+    calls = []
+    clip_lines = ConvexDomain.clip_lines
+
+    def counted(self, x0, directions):
+        calls.append(len(x0))
+        return clip_lines(self, x0, directions)
+
+    monkeypatch.setattr(ConvexDomain, "clip_lines", counted)
+    queries = (tube.u_value, tube.core_distance, lambda z: to_tangent(tube, z))
+    for z in zs:
+        for query in queries:
+            for point, clips in ((z, [1]), (z.real + 0j, [])):
+                calls.clear()
+                query(point)
+                assert calls == clips
+    calls.clear()
+    tube.core_distance_rows(np.concatenate([zs, zs.real + 0j]))
+    assert calls == [len(zs)]
+
+
 def test_unit_disk_normalization_round_trip(triangle, rng):
     tube = Tube(triangle)
     for z in tube.sample_points(rng, 40):
@@ -199,6 +224,28 @@ def test_constructed_boundary_points_classify(name, rng):
         disk = tube.slice_disk(z)
         m = disk.to_unit_disk(disk.coord(z))
         assert abs(m) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["interval", "square", "triangle", "ellipse", "simplex"])
+def test_contains_decides_as_the_classifier_at_the_boundary(name, rng):
+    # heights within a few ulps of the boundary height, over interior real
+    # parts: the slice test and the gauge classifier give the same verdict
+    domain = catalog.by_name(name)
+    tube = Tube(domain)
+    verdicts = set()
+    for _ in range(60):
+        x = domain.sample_interior(rng, 1)[0]
+        direction = rng.normal(size=domain.n)
+        direction /= np.linalg.norm(direction)
+        clip = domain.line_clip((x, direction))
+        s = rng.uniform(0.05, 0.95) * (clip.b - clip.a) + clip.a
+        t = math.sqrt((clip.b - s) * (s - clip.a))
+        for k in range(-4, 5):
+            z = x + (s + 1j * t * (1.0 + k * 1e-15)) * direction
+            inside = tube.boundary_classify(z, band=0.0) == INTERIOR
+            assert tube.contains(z) == inside
+            verdicts.add(inside)
+    assert verdicts == {True, False}
 
 
 def test_classification_bands(interval):
@@ -416,3 +463,21 @@ def test_violation_rows_round_as_the_one_point_calls(name, rng):
     got = tube.violation_rows(zeta)
     assert got.tobytes() == np.array([tube.violation(z) for z in zeta]).tobytes()
     assert (got < 0.0).any() and (got > 0.0).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ellipsoid_violation_rows_round_as_the_one_point_calls(n):
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n))
+    tube = Tube(ConvexDomain(Ellipsoid(rng.normal(size=n), m @ m.T + 0.5 * np.eye(n))))
+    zeta = rng.normal(size=(5000, n)) + 1j * rng.normal(size=(5000, n))
+    got = tube.violation_rows(zeta)
+    assert got.tobytes() == np.array([tube.violation(z) for z in zeta]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["ellipse", "disk"])
+def test_dual_ellipsoid_violation_rows_round_as_the_one_point_calls(name, rng):
+    dual_t, _ = dual_tube(catalog.by_name(name))
+    zeta = dual_t.sample_points(rng, 500)
+    got = dual_t.violation_rows(zeta)
+    assert got.tobytes() == np.array([dual_t.violation(z) for z in zeta]).tobytes()
