@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .domains import ConvexDomain, HDomain
+from .domains import ConvexDomain
 from .domspec import DomainSpec, DomainSpecError, format_domain_text, load_domain
 from .duality import dual_of
 from .errors import GeometryError
@@ -59,6 +59,12 @@ def _positive_int(token: str) -> int:
     return int(token)
 
 
+def _nonnegative_int(token: str) -> int:
+    if not token.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {token!r}")
+    return int(token)
+
+
 def _fmt_float(value: float) -> str:
     return format(float(value), _FMT)
 
@@ -85,8 +91,7 @@ _SUITES = ("linconv", "cconv", "duality", "metric", "homeo", "exhaust", "action"
 def _run_suite(suite, setup, seed, samples, resolution):
     domain = setup.domain
     if suite == "linconv":
-        base = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
-        return verify_linear_convexity(base, n_points=max(10, samples // 10),
+        return verify_linear_convexity(domain, n_points=max(10, samples // 10),
                                        n_kernel_samples=samples, seed=seed)
     if suite == "cconv":
         return verify_c_convexity(domain, n_lines=max(4, samples // 40),
@@ -259,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run verification suites")
     add_domain_args(p_check)
     p_check.add_argument("--suite", default="all", choices=("all",) + _SUITES)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=int, default=200)
+    p_check.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_check.add_argument("--samples", type=_positive_int, default=200)
     p_check.add_argument("--resolution", type=_positive_int, default=256)
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=cmd_check)

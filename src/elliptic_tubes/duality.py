@@ -70,15 +70,12 @@ def _dual_point(chart: Chart, xi):
 
 def _dual_defects(dual_t: Tube, xis):
     """``(finite, defect)`` for the rows of a (B, n+1) array of functionals:
-    whether :func:`_dual_point` gives the row a point, and the dual tube's
-    :meth:`Tube.violation` there (NaN where it does not), each row rounded
-    as the one-functional calls round it."""
-    chart = dual_t.chart
-    h = (chart.matrix[-1] @ xis[:, :, None])[:, 0]
-    finite = ~(np.hypot(h.real, h.imag) <= 1e-12 * row_norms(xis))
+    whether the row is finite in the dual chart (:meth:`Chart.to_chart_rows`),
+    and the dual tube's :meth:`Tube.violation` there (NaN where it is not),
+    each row rounded as the one-functional calls round it."""
+    eta, finite = dual_t.chart.to_chart_rows(xis)
     defect = np.full(len(xis), np.nan)
-    eta = _rowdot(chart.matrix[:-1], xis[finite]) / h[finite, None]
-    defect[finite] = dual_t.violation_rows(eta)
+    defect[finite] = dual_t.violation_rows(eta[finite])
     return finite, defect
 
 
@@ -168,12 +165,13 @@ def _violating_pair(domain: ConvexDomain, lift):
 def tube_separator(domain: ConvexDomain, z):
     """A dual-tube functional vanishing at a point outside the tube.
 
-    The base must be an H-domain.  The first (lexicographic) pair f, g with
-    ``Re(f(z) conj(g(z))) <= 0`` yields ``xi = g(z) f - f(z) g``; its kernel
-    passes through z exactly, and it lies in the closed dual tube.
+    The base must be a polytope, given by its vertices or its functionals;
+    the family is the domain's rows.  The first (lexicographic) pair f, g
+    with ``Re(f(z) conj(g(z))) <= 0`` yields ``xi = g(z) f - f(z) g``; its
+    kernel passes through z exactly, and it lies in the closed dual tube.
     """
-    if not isinstance(domain.rep, HDomain):
-        raise RepresentationError("tube_separator expects an H-domain base")
+    if domain._rows is None:
+        raise RepresentationError("tube_separator needs a polytope base")
     tube = Tube(domain)
     if isinstance(z, HPoint):
         lift = z.coords.astype(np.complex128)
@@ -219,8 +217,8 @@ def tube_separator_rows(domain: ConvexDomain, zeta):
     ``(coeffs, inside)``, the separators' coefficient rows, each equal bit
     for bit to the one-point call's, and the flags of the rows that lie
     inside the tube (their coefficients mean nothing)."""
-    if not isinstance(domain.rep, HDomain):
-        raise RepresentationError("tube_separator expects an H-domain base")
+    if domain._rows is None:
+        raise RepresentationError("tube_separator needs a polytope base")
     return _separator_rows(domain, domain.chart.lift_rows(np.asarray(zeta, dtype=np.complex128)))
 
 

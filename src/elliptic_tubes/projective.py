@@ -351,7 +351,8 @@ class Chart:
         which :meth:`to_chart` raises InfinityError."""
         h = (self.matrix[-1] @ lifts[:, :, None])[:, 0]
         scale = np.linalg.norm(self.matrix[-1]) * row_norms(lifts)
-        finite = np.abs(h) > tol * scale
+        # np.hypot rounds as the scalar abs() of one value; np.abs of a complex array may not
+        finite = np.hypot(h.real, h.imag) > tol * scale
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self.matrix[:-1] @ lifts[:, :, None])[:, :, 0] / h[:, None], finite
 

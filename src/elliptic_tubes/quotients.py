@@ -22,7 +22,7 @@ from .errors import (
     InfinityError,
     UnsupportedConfigurationError,
 )
-from .projective import HPoint, ProjectiveMap, identity_rows, normalize_lifts, proj_eq
+from .projective import HPoint, ProjectiveMap, identity_rows, normalize_lifts, proj_eq, row_norms
 from .report import VerifierReport
 from .tube import Tube
 
@@ -255,26 +255,20 @@ def orbit_reduce(manifold: ConvexRPManifold, z, word_length=8) -> OrbitResult:
                 coord = complex(coord.real, 0.0)
             return OrbitResult(coordinate=coord, point=point, power=k)
     # generic fallback: scan images under short words
-    lift = _standard_lift(z)
-    chart = manifold.domain.chart
-    ref = manifold.domain.reference
-    best = None
     words, mats = manifold.word_matrices(word_length)
-    for word, mat in zip([()] + words, [np.eye(n + 1), *mats]):
-        moved = mat @ lift
-        h = chart.infinity(moved)
-        if abs(h) <= 1e-12 * np.linalg.norm(moved):
-            continue
-        zeta = chart.basis_values(moved) / h
-        score = float(np.linalg.norm(zeta.real - ref) + np.linalg.norm(zeta.imag))
-        if best is None or score < best[0] - 1e-15:
-            best = (score, moved, word)
+    moved = (np.concatenate([np.eye(n + 1)[None], mats]) @ _standard_lift(z)[:, None])[:, :, 0]
+    zeta, finite = manifold.domain.chart.to_chart_rows(moved)
+    score = row_norms(zeta.real - manifold.domain.reference) + row_norms(
+        np.ascontiguousarray(zeta.imag))
+    best = None
+    for k in np.flatnonzero(finite):
+        if best is None or score[k] < score[best] - 1e-15:
+            best = k
     if best is None:
         raise DegenerateError("no image of the point lies in the chart")
-    _, moved, word = best
-    point = HPoint(moved)
-    coord = moved[0] / moved[-1]
-    return OrbitResult(coordinate=complex(coord), point=point, word=word)
+    coord = moved[best, 0] / moved[best, -1]
+    return OrbitResult(coordinate=complex(coord), point=HPoint(moved[best]),
+                       word=([()] + words)[best])
 
 
 def quotient_distance_cyclic(manifold: ConvexRPManifold, z, w, word_length=8) -> float:
@@ -289,29 +283,20 @@ def quotient_distance_cyclic(manifold: ConvexRPManifold, z, w, word_length=8) ->
         raise UnsupportedConfigurationError(
             "cyclic quotient distance needs one generator in dimension one"
         )
-    tube = manifold.tube
-    chart = manifold.domain.chart
-    disk = tube.slice_on_line(np.atleast_1d(manifold.domain.reference), np.array([1.0]))
+    disk = manifold.tube.slice_on_line(np.atleast_1d(manifold.domain.reference), np.array([1.0]))
     amat = manifold.generators[0].matrix
-
-    def chart_scalar(lift):
-        h = chart.infinity(lift)
-        if abs(h) <= 1e-14 * np.linalg.norm(lift):
-            raise InfinityError("orbit point left the chart")
-        return complex((chart.basis_values(lift) / h)[0])
-
-    lift_z = _standard_lift(z)
     lift_w = _standard_lift(w)
-    tau_z = disk.coord(np.atleast_1d(chart_scalar(lift_z)))
+    # z, then the images g^k w
+    lifts = np.array([_standard_lift(z)] + [
+        np.linalg.matrix_power(amat, k).astype(complex) @ lift_w
+        for k in range(-word_length, word_length + 1)])
+    zeta, finite = manifold.domain.chart.to_chart_rows(lifts)
+    if not finite[0]:
+        raise InfinityError("orbit point left the chart")
+    tau_z = disk.coord(zeta[0])
     best = np.inf
-    for k in range(-word_length, word_length + 1):
-        moved = np.linalg.matrix_power(amat, k).astype(complex) @ lift_w
-        try:
-            tau_wk = disk.coord(np.atleast_1d(chart_scalar(moved)))
-            dist = disk.poincare(tau_z, tau_wk)
-        except (InfinityError, DegenerateError):
-            continue
-        best = min(best, dist)
+    for image in zeta[1:][finite[1:]]:
+        best = min(best, disk.poincare(tau_z, disk.coord(image)))
     if not np.isfinite(best):
         raise DegenerateError("no orbit image admitted a distance computation")
     return float(best)

@@ -61,10 +61,10 @@ def to_tangent(tube: Tube, z) -> TangentVector:
     points with positive imaginary line coordinate map to the positive
     direction) gives the direction, and the core distance the magnitude.
     """
-    x, _, disk = tube._query(z)
+    x, y, disk = tube._query(z)
     if disk is None:
         return TangentVector(x, np.zeros(tube.n), 0.0)
-    w, base, dist = tube._foot(z, disk)
+    w, base, dist = tube._foot(y, disk)
     sign = 1.0 if w.imag > 0.0 else -1.0
     return TangentVector(base, sign * disk.direction, dist)
 

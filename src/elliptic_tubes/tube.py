@@ -23,7 +23,7 @@ from .diskgeom import (
     geodesic_foot,
     geodesic_foot_rows,
 )
-from .domains import _REAL_BAND, ConvexDomain, HDomain, _quadratic, box_rejection
+from .domains import _REAL_BAND, ConvexDomain, _quadratic, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -123,14 +123,14 @@ class Tube:
         return inside
 
     def contains_pairwise(self, z):
-        """Functional-route membership for H-domain bases:
-        ``Re(f(z) conj(g(z))) > 0`` for every pair of family members."""
-        if not isinstance(self.base.rep, HDomain):
-            raise RepresentationError("the pairwise test needs an H-domain base")
-        parts = self._split(z)
-        if parts is None:
-            return False
+        """Functional-route membership for polytope bases, the family being
+        the base's rows: ``Re(f(z) conj(g(z))) > 0`` for every pair of
+        family members."""
+        if self.base._rows is None:
+            raise RepresentationError("the pairwise test needs a polytope base")
         zeta = self.chart_complex(z)
+        if zeta is None:
+            return False
         gram, _ = pair_gram(self.base.rows() @ np.append(zeta, 1.0))
         return bool(gram.min() > 0.0)
 
@@ -225,11 +225,18 @@ class Tube:
             raise EmptySliceError(_EMPTY_SLICE)
         return x, y, real, speed, a, b
 
-    def _foot(self, z, disk):
-        """``(w, foot, dist)`` of a non-real point z inside its slice: the
-        unit-disk coordinate of z, the nearest core point and the Poincare
-        distance to it."""
-        w = disk.to_unit_disk(disk.coord(self.chart_complex(z)))
+    def _foot(self, y, disk):
+        """``(w, foot, dist)`` of the non-real point ``x + iy`` of
+        :meth:`_query` inside its slice: the point's unit-disk coordinate,
+        the nearest core point and the Poincare distance to it."""
+        # SliceDisk.coord: the point minus x0 = x is exactly 0 + iy, and its
+        # line coordinate the complex dot product with the direction
+        offset = np.zeros(y.shape, dtype=np.complex128)
+        offset.imag = y
+        tau = offset @ disk.direction
+        # a coordinate inside coord's reality band comes back real
+        tau = float(tau.real) if abs(tau.imag) <= _REAL_BAND * (1.0 + abs(tau)) else complex(tau)
+        w = disk.to_unit_disk(tau)
         foot_disk, dist = _disk_foot(w)
         return w, disk.point(disk.from_unit_disk(foot_disk)).real, dist
 
@@ -257,7 +264,7 @@ class Tube:
         if disk is None:
             return 0.0, x
         dist = distance_from_angle(_angle(row_norms(y[None])[0], disk.a, disk.b))
-        return dist, self._foot(z, disk)[1]
+        return dist, self._foot(y, disk)[1]
 
     def core_distance_rows(self, zeta):
         """:meth:`core_distance` of every row of a (B, n) complex chart

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
-from .domains import ConvexDomain, HDomain
+from .domains import ConvexDomain
 from .duality import _dual_defects, _separator_rows, dual_tube
 from .errors import (
     DegenerateError,
@@ -241,8 +241,8 @@ def verify_linear_convexity(domain: ConvexDomain, n_points=100, n_kernel_samples
     them one by one: the 64 tube witnesses, every exterior point, then the
     kernel coefficients of each point whose separator vanishes, in order.
     """
-    if not isinstance(domain.rep, HDomain):
-        domain = domain.as_hdomain()
+    if domain._rows is None:
+        raise DegenerateError("an ellipsoid has no finite functional family")
     tube = Tube(domain)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     report = VerifierReport(
@@ -417,16 +417,14 @@ def verify_duality_identity(domain: ConvexDomain, n_samples=200, seed=0,
     for eta in etas[_kernel_probes(tube, dual_t.chart.lift_rows(etas), rng, 8).any(axis=1)]:
         report.record(f"kernel of a dual tube member {eta} meets the tube")
     # exterior separators: in the closed dual tube, vanishing at the point
-    try:
-        hdom = domain if isinstance(domain.rep, HDomain) else domain.as_hdomain()
-    except DegenerateError:  # an ellipsoid has no functional family
+    if domain._rows is None:  # an ellipsoid has no functional family
         report.skipped += half
         report.details["separator_direction"] = "skipped (no functional family)"
         return report
-    points = Tube(hdom).sample_exterior(rng, half)
+    points = tube.sample_exterior(rng, half)
     report.samples_run += half
-    lifts = hdom.chart.lift_rows(points)
-    coeffs, inside = _separator_rows(hdom, lifts)
+    lifts = domain.chart.lift_rows(points)
+    coeffs, inside = _separator_rows(domain, lifts)
     if inside.any():
         raise InsideTubeError("the point lies inside the tube; no separator exists")
     values = _relative_values(coeffs, lifts)
@@ -677,18 +675,14 @@ def _equivariance_errors(tube: Tube, g, z, base, direction, magnitude):
     up to sign).  NaN marks a point whose base image or image lies at
     chart infinity, which the check skips."""
     chart = tube.chart
-    moved = _rowdot(g.matrix, chart.lift_rows(base))
-    h = _rowdot(chart.matrix[-1:], moved)[:, 0]
-    moved_z = _rowdot(g.matrix.astype(complex), chart.lift_rows(z))
-    h_z = _rowdot(chart.matrix[-1:], moved_z)[:, 0]
-    on = ~((np.abs(h) <= 1e-12 * row_norms(moved))
-           | (np.hypot(h_z.real, h_z.imag) <= 1e-12 * row_norms(moved_z)))
+    base_exp, base_on = chart.to_chart_rows(_rowdot(g.matrix, chart.lift_rows(base)))
+    image, on = chart.to_chart_rows(_rowdot(g.matrix.astype(complex), chart.lift_rows(z)))
+    on &= base_on
     errs = np.full(len(z), np.nan)
     if not on.any():
         return errs
-    g_base, g_direction, g_magnitude = to_tangent_rows(
-        tube, _rowdot(chart.matrix[:-1], moved_z[on]) / h_z[on, None])
-    base_exp = _rowdot(chart.matrix[:-1], moved[on]) / h[on, None]
+    g_base, g_direction, g_magnitude = to_tangent_rows(tube, image[on])
+    base_exp = base_exp[on]
     dir_exp = pushforward_rows(g, chart, base[on], direction[on])
     dir_exp = dir_exp / row_norms(dir_exp)[:, None]
     plus = row_norms(g_direction - dir_exp)
@@ -706,8 +700,8 @@ def verify_exhaustion_monotone(domain: ConvexDomain, deltas=(0.6, 0.4, 0.2),
                                n_samples=200, seed=0) -> VerifierReport:
     """Tubes over a shrinking exhaustion are nested.
 
-    ``deltas`` lists shrink parameters in decreasing domain size order is
-    not required; they are sorted so the smallest domain comes first.  Every
+    ``deltas`` lists shrink parameters in any order; they are sorted from
+    largest to smallest, so that the smallest domain comes first.  Every
     sample of a smaller tube must lie in every larger tube and in the full
     tube; absorption counts for full-tube samples are reported as details.
     """

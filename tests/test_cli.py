@@ -317,6 +317,19 @@ def test_resolution_must_be_a_positive_integer(capsys, argv, value):
     assert "--resolution: must be a positive integer" in err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--samples", "0", "--samples: must be a positive integer"),
+    ("--samples", "-5", "--samples: must be a positive integer"),
+    ("--seed", "-1", "--seed: must be a non-negative integer"),
+])
+def test_check_rejects_counts_and_seeds_it_cannot_use(capsys, option, value, message):
+    # a usage error before the first suite runs
+    code, out, err = run(capsys, "check", "--domain", "square", "--suite", "all", option, value)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_c_convexity_verdict_does_not_depend_on_pixels(capsys):
     # one pixel per raster: whatever the rasters count, the arcs decide
     code, out, _ = run(capsys, "check", "--domain", "triangle", "--suite", "cconv",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptic_tubes import catalog
-from elliptic_tubes.domains import ConvexDomain, HDomain
+from elliptic_tubes.domains import ConvexDomain, HDomain, VPolytope
 from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.duality import (
     annihilator,
@@ -344,6 +344,34 @@ def test_separator_rows_where_a_row_vanishes(triangle):
 def test_separator_rows_need_an_h_domain(ellipse):
     with pytest.raises(RepresentationError):
         tube_separator_rows(ellipse, np.array([[2.0 + 0j, 0.0 + 0j]]))
+
+
+@pytest.mark.parametrize("name", ["square", "simplex", "cube3"])
+def test_separators_of_vertex_polytopes(name):
+    # the family is a V-polytope's own facet rows: no H-form copy
+    if name == "cube3":
+        domain = load_domain(str(_PERFBENCH / "cube3.dom")).domain
+    else:
+        domain = catalog.by_name(name)
+    assert isinstance(domain.rep, VPolytope)
+    zeta = Tube(domain).sample_exterior(np.random.default_rng(8), 80)
+    coeffs, inside = tube_separator_rows(domain, zeta)
+    assert not inside.any()
+    lifts = domain.chart.lift_rows(zeta)
+    for row, z, lift in zip(coeffs, zeta, lifts):
+        assert _same_bits(row, tube_separator(domain, z).coeffs)
+        assert abs(row @ lift) < 1e-10 * np.linalg.norm(row) * np.linalg.norm(lift)
+    assert closed_dual_membership(domain, coeffs).all()
+
+
+def test_functional_routes_refuse_an_ellipsoid(ellipse):
+    z = np.array([2.0 + 0j, 0.0 + 0j])
+    with pytest.raises(RepresentationError):
+        Tube(ellipse).contains_pairwise(z)
+    with pytest.raises(RepresentationError):
+        tube_separator(ellipse, z)
+    with pytest.raises(RepresentationError):
+        tube_separator_rows(ellipse, z[None])
 
 
 def test_separator_real_exterior_point(triangle):

@@ -55,6 +55,27 @@ def test_row_primitives_round_as_one_point(rng, k, kind):
         chart.to_chart(HPoint(at_infinity[0]))
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_chart_rows_decide_chart_infinity_as_one_point(rng, k):
+    # complex lifts whose infinity value |h| lies within 4 ulp of 1e-12 |lift|,
+    # on both sides of the threshold
+    chart = Chart(rng.normal(size=(k - 1, k)), np.eye(k)[-1])
+    rest = rng.normal(size=(180, k - 1)) + 1j * rng.normal(size=(180, k - 1))
+    ulps = np.arange(180) % 9 - 4
+    size = 1e-12 * np.linalg.norm(rest, axis=1) * (1.0 + ulps * np.finfo(np.float64).eps)
+    lifts = np.column_stack([rest, size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 180))])
+    coords, finite = chart.to_chart_rows(normalize_lifts(lifts))
+    for lift, row, ok in zip(lifts, coords, finite):
+        try:
+            want = chart.to_chart(HPoint(lift))
+        except InfinityError:
+            assert not ok
+        else:
+            assert ok
+            assert np.array_equal(row, want)
+    assert 0 < finite.sum() < len(finite)
+
+
 def test_identity_rows_match_is_identity(rng):
     mats = rng.normal(size=(20, 3, 3))
     mats[::4] = 2.5 * np.eye(3)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from elliptic_tubes import catalog
 from elliptic_tubes.diskgeom import poincare_distance
 from elliptic_tubes.domains import ConvexDomain, Ellipsoid, VPolytope
+from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.duality import dual_of, dual_tube
 from elliptic_tubes.errors import (
     EmptySliceError,
@@ -26,6 +28,8 @@ from elliptic_tubes.tube import (
     pair_gram,
     pair_gram_rows,
 )
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # ---------- the model case: interval -> unit disk ------------------------------
@@ -92,6 +96,22 @@ def test_membership_routes_agree(name, rng):
         assert a == b
         agree += 1
     assert agree == 800
+
+
+@pytest.mark.parametrize("name", ["square", "simplex", "cube3"])
+def test_membership_routes_agree_on_vertex_polytopes(name, rng):
+    # the pairwise route reads a V-polytope's own facet rows
+    if name == "cube3":
+        domain = load_domain(str(_PERFBENCH / "cube3.dom")).domain
+    else:
+        domain = catalog.by_name(name)
+    assert isinstance(domain.rep, VPolytope)
+    tube = Tube(domain)
+    # both samplers keep out of the 1e-6 boundary band
+    zeta = np.vstack([tube.sample_points(rng, 150), tube.sample_exterior(rng, 150)])
+    pairwise = [tube.contains_pairwise(z) for z in zeta]
+    assert pairwise == [tube.contains(z) for z in zeta]
+    assert pairwise == [True] * 150 + [False] * 150
 
 
 def test_ellipsoid_closed_form_matches_slice_route(ellipse, rng):
