@@ -6,7 +6,12 @@ checkouts run the same workload and seed back to back, and the order
 alternates from pair to pair, so that a drift of the host's speed falls on
 both sides alike.  Then each checkout runs the Tier-1 suite once, and the
 acceptance suite ``CRITERIA_RUNS`` more times to time each criterion, the
-sides again alternating which runs first.
+sides again alternating which runs first.  Last, each checkout runs
+``COLD_COMMANDS`` ``COLD_RUNS`` times as fresh ``python -m
+elliptic_tubes.cli`` processes, the sides alternating from round to round:
+the wall a user pays per command, interpreter start and imports included,
+which perfbench's ``setup_s`` does not see (it re-imports only the
+package's own modules).
 
     python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
 
@@ -22,7 +27,8 @@ pairs of each run's median latency of that kind in ms (the run record's
 ``details.median_ms_by_kind`` in ``.perfbench-out/``, unscaled); the
 Tier-1 wall time and pass counts of each side; the median and quartiles
 of each acceptance criterion's wall time on each side (the call phase,
-from ``pytest --durations=0 tests/test_acceptance.py``); and the machine:
+from ``pytest --durations=0 tests/test_acceptance.py``); the median and
+quartiles of each cold command's wall time on each side; and the machine:
 the number of CPUs and the Python, NumPy and SciPy versions.
 """
 
@@ -44,6 +50,10 @@ CRITERIA_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 CRITERIA = TIER1 + ["--durations=0", "--durations-min=0", "tests/test_acceptance.py"]
+COLD_RUNS = 7
+COLD_COMMANDS = [["check", "--domain", name, "--suite", "all"]
+                 for name in ("interval", "halfline", "disk", "ellipse", "square", "triangle",
+                              "simplex")] + [["map", "--domain", "interval", "0.5i"]]
 
 
 def revision(root):
@@ -96,6 +106,27 @@ def criterion_walls(roots):
             for sec, name in re.findall(r"([\d.]+)s call +tests/test_acceptance\.py::(\w+)", out):
                 walls[side].setdefault(name, []).append(float(sec))
     return {side: {name: spread(runs) for name, runs in times.items()}
+            for side, times in walls.items()}
+
+
+def cold_walls(roots):
+    """Per side and cold command (its arguments joined by spaces), the
+    spread of the wall seconds of a fresh ``python -m elliptic_tubes.cli``
+    process over ``COLD_RUNS`` rounds, the sides taking turns to run
+    first, and the exit codes seen (``exit``)."""
+    walls = {side: {} for side in roots}
+    codes = {side: {} for side in roots}
+    for i in range(COLD_RUNS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            env = dict(os.environ, PYTHONPATH=os.path.join(roots[side], "src"))
+            for argv in COLD_COMMANDS:
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "elliptic_tubes.cli", *argv],
+                                      cwd=roots[side], env=env, capture_output=True, check=False)
+                walls[side].setdefault(" ".join(argv), []).append(time.perf_counter() - start)
+                codes[side].setdefault(" ".join(argv), set()).add(proc.returncode)
+    return {side: {cmd: {**spread(runs), "exit": sorted(codes[side][cmd])}
+                   for cmd, runs in times.items()}
             for side, times in walls.items()}
 
 
@@ -176,6 +207,7 @@ def main(argv=None):
         "workloads": workloads,
         "tier1": {side: tier1(root) for side, root in roots.items()},
         "criterion_walls_s": criterion_walls(roots),
+        "cold_start_s": cold_walls(roots),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -189,6 +221,10 @@ def main(argv=None):
     for name in sorted(walls["change"]):
         par = walls["parent"].get(name, {}).get("median", float("nan"))
         print(f"{name:<50} parent {par:<8.3g} change {walls['change'][name]['median']:.3g}")
+    cold = result["cold_start_s"]
+    for cmd in cold["change"]:
+        print(f"{cmd:<50} parent {cold['parent'][cmd]['median']:<8.3g} "
+              f"change {cold['change'][cmd]['median']:.3g}")
     return 0
 
 

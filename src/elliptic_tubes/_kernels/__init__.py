@@ -12,7 +12,9 @@ grid arithmetic.  Comparing ``column > -row`` decides exactly the sign of
 the rounded sum ``column + row``.  The zero set of each form is a circle,
 a line or at most a point, so the region where every form is positive is
 bounded by circle arcs and segments, and `slice_topology` counts its
-components and holes from them, with no pixels.
+components and holes from them, with no pixels.  `component_labels` labels
+graph components, the arc cycles here and the raster's row runs in
+`verify.connectivity_counts`.
 
 `pairwise_forms` and `ellipsoid_forms` build the forms; the kernels are
 `form_mask` of them.
@@ -244,15 +246,9 @@ def slice_topology(alpha, beta, gamma):
     tol = _NOISE * np.abs(bbox).max()
     gap = np.abs(p_b[:, None] - p_a[None, :])
     np.fill_diagonal(gap, np.where(ends[ks, 0] == 0, 0.0, np.inf))
-    joined = (gap <= tol) | np.eye(len(ks), dtype=bool)
+    joined = gap <= tol
     joined[np.arange(len(ks)), np.argmin(gap, axis=1)] = True
-    joined |= joined.T
-    cycle = np.arange(len(ks))
-    while True:
-        lowest = np.where(joined, cycle[None, :], len(ks)).min(axis=1)
-        if np.array_equal(lowest, cycle):
-            break
-        cycle = lowest
+    cycle = component_labels(len(ks), *np.nonzero(joined))
     # each cycle's area from chords about its own first vertex, so that the
     # rounding gaps where its arcs meet move a cycle within tol of a point
     # by about tol^2 at most; a cycle that small bounds nothing
@@ -261,6 +257,24 @@ def slice_topology(alpha, beta, gamma):
         + np.where(line[ks], 0.0, excess / (2.0 * safe * safe))
     area = np.bincount(cycle, weights=area)
     return int((area > tol * tol).sum()), int((area < -tol * tol).sum()), bbox
+
+
+def component_labels(count, first, second):
+    """The least node of each node's component in the undirected graph on
+    nodes ``0 .. count - 1`` with edges ``(first[e], second[e])``, two
+    integer arrays.
+
+    Each round hooks the larger label of every edge whose ends differ onto
+    the smaller, then follows the labels to their roots.  A label never
+    exceeds its node and stays in its component, so when every edge joins
+    equal labels each component carries its least node.
+    """
+    label = np.arange(count)
+    while not np.array_equal(low := label[first], high := label[second]):
+        np.minimum.at(label, np.maximum(low, high), np.minimum(low, high))
+        while not np.array_equal(root := label[label], label):
+            label = root
+    return label
 
 
 def _clear_chart_infinity(mask, last_a, last_b, w_re, w_im):

@@ -128,7 +128,9 @@ def cmd_check(args) -> int:
             print(f"[FAIL] {suite}: {exc}")
             failed += 1
             continue
-        print(report.summary())
+        skipped = report.passed and not report.samples_run
+        print(f"[SKIP] {suite}: 0 samples at --samples {args.samples}" if skipped
+              else report.summary())
         if args.verbose:
             sys.stdout.write(report.to_text())
         if not report.passed:

@@ -229,14 +229,7 @@ class Tube:
         """``(w, foot, dist)`` of the non-real point ``x + iy`` of
         :meth:`_query` inside its slice: the point's unit-disk coordinate,
         the nearest core point and the Poincare distance to it."""
-        # SliceDisk.coord: the point minus x0 = x is exactly 0 + iy, and its
-        # line coordinate the complex dot product with the direction
-        offset = np.zeros(y.shape, dtype=np.complex128)
-        offset.imag = y
-        tau = offset @ disk.direction
-        # a coordinate inside coord's reality band comes back real
-        tau = float(tau.real) if abs(tau.imag) <= _REAL_BAND * (1.0 + abs(tau)) else complex(tau)
-        w = disk.to_unit_disk(tau)
+        w = disk.to_unit_disk(_own_coord(y, disk))
         foot_disk, dist = _disk_foot(w)
         return w, disk.point(disk.from_unit_disk(foot_disk)).real, dist
 
@@ -343,19 +336,18 @@ class Tube:
         must share one complexified real line.  Both cases reduce to the
         Poincare distance in the normalized slice disk.
         """
-        zz = self._split(z)
-        ww = self._split(w)
-        if zz is None or ww is None:
+        zeta = [self.chart_complex(z), self.chart_complex(w)]
+        if zeta[0] is None or zeta[1] is None:
             raise OutsideTubeError("points must be finite in the chart")
-        xz, yz, z_real = zz
-        xw, yw, w_real = ww
-        if z_real and w_real:
-            return float(self.real_pair_distances(xz[None], xw[None])[0])
-        anchor = z if not z_real else w
-        disk = self.slice_disk(anchor)
-        tau_z = disk.coord(self.chart_complex(z))
-        tau_w = disk.coord(self.chart_complex(w))
-        return disk.poincare(tau_z, tau_w)
+        x, y, real = self._split_rows(np.stack(zeta))
+        if real.all():
+            return float(self.real_pair_distances(x[:1], x[1:])[0])
+        # the slice through the first non-real point; the other point is
+        # outside input, so coord checks that it lies on that slice's line
+        anchor = int(real[0])
+        disk = self.slice_on_line(x[anchor], y[anchor])
+        tau = [_own_coord(y[k], disk) if k == anchor else disk.coord(zeta[k]) for k in (0, 1)]
+        return disk.poincare(*tau)
 
     def real_pair_distances(self, x, y):
         """:meth:`kobayashi_supported` of the paired rows of two (B, n) real
@@ -467,6 +459,19 @@ def _disk_foot(w):
     if not abs(w) < 1.0:
         raise OutsideTubeError(_OFF_DISK)
     return geodesic_foot(w)
+
+
+def _own_coord(y, disk):
+    """:meth:`SliceDisk.coord` of the non-real point ``x + iy`` on the slice
+    built through it, ``slice_on_line(x, y)``, without coord's check that
+    the point lies on that line."""
+    # the point minus x0 = x is exactly 0 + iy, and its line coordinate the
+    # complex dot product with the direction
+    offset = np.zeros(y.shape, dtype=np.complex128)
+    offset.imag = y
+    tau = offset @ disk.direction
+    # a coordinate inside coord's reality band comes back real
+    return float(tau.real) if abs(tau.imag) <= _REAL_BAND * (1.0 + abs(tau)) else complex(tau)
 
 
 def _real_rows(x, y):

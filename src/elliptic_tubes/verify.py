@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .domains import ConvexDomain
@@ -192,9 +190,8 @@ def connectivity_counts(bitmap):
     offset = np.cumsum(joints) - joints
     upper = np.repeat(np.arange(n_runs), joints)
     lower = np.arange(n_joints) + np.repeat(first - offset, joints)
-    graph = sparse.coo_matrix((np.ones(n_joints, dtype=np.int8), (upper, lower)),
-                              shape=(n_runs, n_runs))
-    n_region = int(connected_components(graph, directed=False, return_labels=False))
+    labels = _kernels.component_labels(n_runs, upper, lower)
+    n_region = int(np.count_nonzero(labels == np.arange(n_runs)))
     return n_region, 1 + n_region - n_runs + n_joints
 
 

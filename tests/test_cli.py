@@ -204,6 +204,37 @@ def test_check_path_imports_no_scipy_optimize():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_cli_and_check_path_import_no_scipy():
+    # in a fresh interpreter: only qhull (polytope hulls), scipy.optimize
+    # and the test references load SciPy, and none of these domains needs them
+    script = (
+        "import sys\n"
+        "from elliptic_tubes import cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "for name in ('interval', 'halfline', 'disk', 'ellipse'):\n"
+        "    cli.main(['check', '--domain', name, '--suite', 'all', '--samples', '10'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
+
+
+def test_check_skips_suites_that_ran_no_samples(capsys):
+    # at --samples 1 the duality check runs 1 // 2 samples per direction
+    # and the exhaustion check 1 // 3 per stage and 1 // 2 at the end
+    code, out, _ = run(capsys, "check", "--domain", "square", "--samples", "1")
+    assert code == 0
+    assert "[SKIP] duality: 0 samples at --samples 1" in out
+    assert "[SKIP] exhaust: 0 samples at --samples 1" in out
+    assert ": 0 samples," not in out
+    assert "[PASS] linear_convexity: 10 samples" in out
+
+
 def test_check_quick_suite(capsys):
     code, out, _ = run(
         capsys,

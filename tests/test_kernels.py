@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from elliptic_tubes import _kernels
 from elliptic_tubes import catalog
@@ -366,3 +368,60 @@ def test_pixel_on_a_zero_of_a_value_is_outside(m):
     got = _kernels.pairwise_bitmap(fam_a, fam_b, w, w)
     np.testing.assert_array_equal(got, _reference_pairwise(fam_a, fam_b, w, w))
     assert got[10, 10] == 0 and got.any()
+
+
+# ----------------------------------------------------------------------
+# component labelling
+
+
+def _reference_least_labels(count, first, second):
+    """The least node of each node's component, from scipy's labelling."""
+    graph = sparse.coo_matrix((np.ones(len(first), dtype=np.int8), (first, second)),
+                              shape=(count, count))
+    _, comp = connected_components(graph, directed=False)
+    least = np.full(count, count)
+    np.minimum.at(least, comp, np.arange(count))
+    return least[comp]
+
+
+def _deep_path(depth):
+    """Node numbers along a path of ``2^depth + 1`` nodes on which each
+    round of hooking leaves the path's local minima, in the same pattern
+    one level down, so labelling needs ``depth + 1`` rounds: the previous
+    level's numbers sit at the even places and larger ones between them."""
+    order = [1, 0]
+    for _ in range(depth):
+        top = len(order)
+        order = [v for low, high in zip(order, range(top, 2 * top)) for v in (low, high)][:-1]
+    return order
+
+
+@st.composite
+def _graphs(draw):
+    """``(count, first, second)``: a random edge list, with no nodes,
+    isolated nodes, self-loops and repeated edges among its cases, or a
+    deep path (`_deep_path`) with its edges shuffled and turned."""
+    if draw(st.booleans()):
+        order = _deep_path(draw(st.integers(0, 9)))
+        edges = list(zip(order[:-1], order[1:]))
+        edges = [e[::-1] if flip else e
+                 for e, flip in zip(draw(st.permutations(edges)),
+                                    draw(st.lists(st.booleans(), min_size=len(edges),
+                                                  max_size=len(edges))))]
+        count = len(order)
+    else:
+        count = draw(st.integers(0, 40))
+        node = st.integers(0, max(count - 1, 0))
+        edges = draw(st.lists(st.tuples(node, node), max_size=80 if count else 0))
+        event("graph" if count else "no nodes")
+    first = np.array([e[0] for e in edges], dtype=np.intp)
+    second = np.array([e[1] for e in edges], dtype=np.intp)
+    return count, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_component_labels_are_least_nodes(graph):
+    count, first, second = graph
+    labels = _kernels.component_labels(count, first, second)
+    np.testing.assert_array_equal(labels, _reference_least_labels(count, first, second))
