@@ -17,13 +17,13 @@ are comma-separated component lists.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
 import numpy as np
 
 from . import catalog
-from .domains import ConvexDomain
 from .domspec import DomainSpec, DomainSpecError, format_domain_text, load_domain
 from .duality import dual_of
 from .errors import GeometryError
@@ -43,14 +43,26 @@ _FMT = ".15g"
 
 
 def _parse_complex(token: str) -> complex:
-    text = token.strip().replace("I", "i")
+    text = token.strip()
     if not text:
         raise ValueError("empty number")
-    return complex(text.replace("i", "j"))
+    # only the imaginary unit's suffix: "inf" and "nan" keep their letters
+    value = complex(text[:-1] + "j" if text[-1] in "iI" else text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"non-finite coordinate {text!r}")
+    return value
 
 
 def _parse_point(token: str) -> np.ndarray:
     return np.array([_parse_complex(part) for part in token.split(",")])
+
+
+def _point_arg(token: str, n: int) -> np.ndarray:
+    """The point of a command-line argument, which must have n coordinates."""
+    point = _parse_point(token)
+    if len(point) != n:
+        raise ValueError(f"expected {n} coordinates, not {len(point)}, in {token!r}")
+    return point
 
 
 def _positive_int(token: str) -> int:
@@ -145,11 +157,11 @@ def cmd_check(args) -> int:
 def cmd_slice(args) -> int:
     setup = _load_setup(args)
     tube = Tube(setup.domain)
-    anchor = _parse_point(args.anchor).real if args.anchor else np.atleast_1d(
+    anchor = _point_arg(args.anchor, tube.n).real if args.anchor else np.atleast_1d(
         setup.domain.reference
     )
     if args.direction:
-        direction = _parse_point(args.direction).real
+        direction = _point_arg(args.direction, tube.n).real
     else:
         direction = np.zeros(tube.n)
         direction[0] = 1.0
@@ -198,8 +210,8 @@ def cmd_slice(args) -> int:
 def cmd_dist(args) -> int:
     setup = _load_setup(args)
     tube = Tube(setup.domain)
-    z = _parse_point(args.z)
-    w = _parse_point(args.w)
+    z = _point_arg(args.z, tube.n)
+    w = _point_arg(args.w, tube.n)
     try:
         value = tube.kobayashi_supported(z, w)
     except GeometryError as exc:
@@ -212,7 +224,7 @@ def cmd_dist(args) -> int:
 def cmd_map(args) -> int:
     setup = _load_setup(args)
     tube = Tube(setup.domain)
-    z = _parse_point(args.z)
+    z = _point_arg(args.z, tube.n)
     try:
         vec = to_tangent(tube, z)
     except GeometryError as exc:

@@ -415,24 +415,12 @@ class ConvexDomain:
     # ------------------------------------------------------------------
     # line geometry
 
-    def _line_data(self, line):
-        if isinstance(line, RealLine):
-            return line.chart_form(self.chart)
-        x0, direction = line
-        x0 = np.asarray(x0, dtype=np.float64).reshape(self.n)
-        direction = np.asarray(direction, dtype=np.float64).reshape(self.n)
-        norm = np.linalg.norm(direction)
-        if not norm > 0.0:
-            raise ZeroDirectionError("line direction must be nonzero")
-        return x0, direction / norm
-
     def clip_lines(self, x0, directions):
         """Clip parameters of many chart lines ``t -> x0[i] + t directions[i]``.
 
         ``x0`` and ``directions`` are (B, n) arrays, the directions of unit
-        length: the code that builds a line (:meth:`_line_data`,
-        :meth:`_pair_clips`, ``Tube._trace_clips``) divides its
-        direction by its norm once, and nothing divides it again.  Returns
+        length: :meth:`ray_clips` divides a line's direction by its norm
+        once, and nothing divides it again.  Returns
         ``(a, b, ok)``, three (B,) arrays: ``ok`` is false where the line
         misses the domain or its clip is shorter than 1e-10 (and ``a``,
         ``b`` are NaN there), otherwise ``a < b`` are exact roots of the
@@ -469,6 +457,18 @@ class ConvexDomain:
         hi[~ok] = np.nan
         return lo, hi, ok
 
+    def ray_clips(self, x, v):
+        """``(length, unit, a, b, ok)`` for the lines ``t -> x + t v / |v|``
+        through the paired rows of two (B, n) chart arrays: ``|v|``, the
+        unit direction ``v / |v|`` and the :meth:`clip_lines` of each line.
+        Raises :class:`ZeroDirectionError` when a row of v is zero (or
+        NaN)."""
+        length = row_norms(v)
+        if not np.all(length > 0.0):
+            raise ZeroDirectionError("line direction must be nonzero")
+        unit = v / length[:, None]
+        return (length, unit) + self.clip_lines(x, unit)
+
     def line_clip(self, line):
         """Intersect a real line with the domain.
 
@@ -478,9 +478,15 @@ class ConvexDomain:
         functionals or of the boundary quadric), or None when the
         intersection is empty or shorter than 1e-10.
         """
-        x0, direction = self._line_data(line)
-        a, b, ok = self.clip_lines(x0[None], direction[None])
-        return SliceDisk(x0, direction, float(a[0]), float(b[0]), self.chart) if ok[0] else None
+        if isinstance(line, RealLine):
+            x0, unit = line.chart_form(self.chart)
+            a, b, ok = self.clip_lines(x0[None], unit[None])
+        else:
+            x0 = np.asarray(line[0], dtype=np.float64).reshape(self.n)
+            direction = np.asarray(line[1], dtype=np.float64).reshape(1, self.n)
+            _, unit, a, b, ok = self.ray_clips(x0[None], direction)
+            unit = unit[0]
+        return SliceDisk(x0, unit, float(a[0]), float(b[0]), self.chart) if ok[0] else None
 
     # ------------------------------------------------------------------
     # metric quantities
@@ -510,10 +516,8 @@ class ConvexDomain:
         first coordinate axis."""
         delta = y - x
         sep = row_norms(delta)
-        same = sep < 1e-15
-        delta[same] = np.eye(self.n)[0]
-        direction = delta / np.where(same, 1.0, sep)[:, None]
-        return (sep, direction) + self.clip_lines(x, direction)
+        delta[sep < 1e-15] = np.eye(self.n)[0]
+        return (sep,) + self.ray_clips(x, delta)[1:]
 
     def finsler_norm(self, x, w):
         """Infinitesimal Hilbert norm of a chart tangent vector at x."""

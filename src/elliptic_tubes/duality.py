@@ -246,7 +246,6 @@ def tangent_set_sample(domain: ConvexDomain, a, n_samples=200, seed=0):
     of the found set (small diameter indicates a single supporting
     hyperplane, large diameter a corner).
     """
-    from scipy.linalg import null_space
     from scipy.optimize import minimize
 
     tube = Tube(domain)
@@ -258,7 +257,8 @@ def tangent_set_sample(domain: ConvexDomain, a, n_samples=200, seed=0):
     dchart = dual_t.chart
 
     lift = a_point.coords.astype(np.complex128)
-    basis = null_space(lift[None, :])  # (n+1, n) orthonormal columns
+    # (n+1, n) orthonormal columns: the last n right singular vectors
+    basis = np.linalg.svd(lift[None, :])[2][1:].conj().T
     if basis.shape[1] < 1:
         raise DegenerateError("annihilator parametrization failed")
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskgeom import geodesic_foot, point_at_distance
-from .errors import EmptySliceError, NotInteriorError, ZeroDirectionError
-from .projective import row_norms
+from .errors import EmptySliceError, NotInteriorError
 from .tube import Tube
 
 __all__ = [
@@ -56,17 +55,16 @@ class TangentVector:
 def to_tangent(tube: Tube, z) -> TangentVector:
     """Tangent-bundle image of a tube point.
 
-    The slice through z is normalized to the unit disk; the geodesic foot on
-    the diameter gives the base point, the slice direction (oriented so that
-    points with positive imaginary line coordinate map to the positive
-    direction) gives the direction, and the core distance the magnitude.
+    The slice through z = x + iy is normalized to the unit disk; the
+    geodesic foot on the diameter gives the base point, the slice direction
+    ``y / |y|`` the direction (z sits at the positive imaginary line
+    coordinate ``i |y|``), and the core distance the magnitude.
     """
-    x, y, disk = tube._query(z)
-    if disk is None:
+    x, trace = tube._query(z)
+    if trace is None:
         return TangentVector(x, np.zeros(tube.n), 0.0)
-    w, base, dist = tube._foot(y, disk)
-    sign = 1.0 if w.imag > 0.0 else -1.0
-    return TangentVector(base, sign * disk.direction, dist)
+    base, dist = tube._foot(x, trace)
+    return TangentVector(base, trace[3], dist)
 
 
 def to_tangent_rows(tube: Tube, zeta):
@@ -74,14 +72,12 @@ def to_tangent_rows(tube: Tube, zeta):
     row rounded as the one-point call rounds it: ``(base, direction,
     magnitude)``, two (B, n) arrays and a (B,) array.  Raises as the
     one-point call raises when any row would."""
-    x, y, real, speed, a, b = tube._query_rows(zeta)
-    unit, w_im, foot, dist = tube._slice_foot_rows(x[~real], y[~real], speed, a, b)
+    x, real, speed, a, b, unit = tube._query_rows(zeta)
     base = x.copy()
-    base[~real] = foot
     direction = np.zeros_like(x)
-    direction[~real] = np.where(w_im > 0.0, 1.0, -1.0)[:, None] * unit
     magnitude = np.zeros(len(x))
-    magnitude[~real] = dist
+    base[~real], magnitude[~real] = tube._slice_foot_rows(x[~real], speed, a, b, unit)
+    direction[~real] = unit
     return base, direction, magnitude
 
 
@@ -118,12 +114,7 @@ def from_tangent_rows(tube: Tube, base, direction, magnitude):
     out = base.astype(np.complex128)
     moving = magnitude != 0.0
     x0, mag = base[moving], magnitude[moving]
-    unit = np.asarray(direction, dtype=np.float64)[moving]
-    norm = row_norms(unit)
-    if not np.all(norm > 0.0):
-        raise ZeroDirectionError("line direction must be nonzero")
-    unit = unit / norm[:, None]
-    a, b, ok = tube.base.clip_lines(x0, unit)
+    _, unit, a, b, ok = tube.base.ray_clips(x0, np.asarray(direction, dtype=np.float64)[moving])
     if not ok.all():
         raise EmptySliceError("the line does not meet the base domain")
     length = b - a

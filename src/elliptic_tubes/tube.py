@@ -105,7 +105,7 @@ class Tube:
         x, y, real_flag = parts
         if real_flag:
             return self.base.contains(x)
-        speed, a, b, _ = self._trace_clips(x[None], y[None])
+        speed, _, a, b, _ = self.base.ray_clips(x[None], y[None])
         on_slice, prod = _gauge_product(speed[0], a[0], b[0])
         return bool(on_slice and prod < 1.0)
 
@@ -118,7 +118,8 @@ class Tube:
         inside = np.empty(len(x), dtype=bool)
         inside[real] = self.base.contains_rows(x[real])
         if not real.all():
-            on_slice, prod = _gauge_product(*self._trace_clips(x[~real], y[~real])[:3])
+            speed, _, a, b, _ = self.base.ray_clips(x[~real], y[~real])
+            on_slice, prod = _gauge_product(speed, a, b)
             inside[~real] = on_slice & (prod < 1.0)
         return inside
 
@@ -164,16 +165,6 @@ class Tube:
         square = np.array([r ** 2 for r in row_norms(lifts).tolist()], dtype=np.float64)
         return -gram.min(axis=(1, 2)) / square
 
-    def _trace_clips(self, x, y):
-        """``(speed, a, b, ok)`` for the rows of (B, n) arrays x, y with
-        nonzero y: ``speed = |y|`` and the clip of the trace line
-        ``t -> x + t y / |y|`` (see :meth:`ConvexDomain.clip_lines`).  The
-        direction is rounded as :meth:`slice_disk` rounds it, so a slice
-        disk and the membership tests clip the same line."""
-        speed = row_norms(y)
-        a, b, ok = self.base.clip_lines(x, y / speed[:, None])
-        return speed, a, b, ok
-
     # ------------------------------------------------------------------
     # slices
 
@@ -199,49 +190,59 @@ class Tube:
     # boundary gauges
 
     def _query(self, z):
-        """``(x, y, disk)`` of a one-point query at z: the parts of
-        :meth:`_split` and the slice through z, None for a real z.  Raises
-        when z lies at chart infinity, when its real part lies outside the
-        base, and when the trace line's clip is empty."""
+        """``(x, trace)`` of a one-point query at z = x + iy: the real part
+        after the band of :meth:`_split`, and ``(|y|, a, b, unit)``, the
+        height of z over the clip (a, b) of its trace line ``t -> x + t
+        unit`` (see :meth:`ConvexDomain.ray_clips`), None for a real z.
+        Raises when z lies at chart infinity, when its real part lies
+        outside the base, and when the trace line's clip is empty."""
         parts = self._split(z)
         if parts is None:
             raise OutsideTubeError("point lies at chart infinity")
         x, y, real_flag = parts
         if not self.base.contains(x):
             raise NotInteriorError(_NOT_INTERIOR)
-        return x, y, None if real_flag else self.slice_on_line(x, y)
+        if real_flag:
+            return x, None
+        speed, unit, a, b, ok = self.base.ray_clips(x[None], y[None])
+        if not ok[0]:
+            raise EmptySliceError(_EMPTY_SLICE)
+        return x, (speed[0], a[0], b[0], unit[0])
 
     def _query_rows(self, zeta):
         """:meth:`_query` of every row of a (B, n) complex chart array, each
-        row rounded as the one-point call rounds it: ``(x, y, real, speed,
-        a, b)``, the parts of :meth:`_split_rows`, and ``|y|`` and the trace
-        line's clip (a, b) of the non-real rows.  Raises as the one-point
-        call raises when any row would."""
+        row rounded as the one-point call rounds it: ``(x, real, speed, a,
+        b, unit)``, the real parts and reality flags of :meth:`_split_rows`,
+        and the traces of the non-real rows.  Raises as the one-point call
+        raises when any row would."""
         x, y, real = self._split_rows(zeta)
         if not self.base.contains_rows(x).all():
             raise NotInteriorError(_NOT_INTERIOR)
-        speed, a, b, ok = self._trace_clips(x[~real], y[~real])
+        speed, unit, a, b, ok = self.base.ray_clips(x[~real], y[~real])
         if not ok.all():
             raise EmptySliceError(_EMPTY_SLICE)
-        return x, y, real, speed, a, b
+        return x, real, speed, a, b, unit
 
-    def _foot(self, y, disk):
-        """``(w, foot, dist)`` of the non-real point ``x + iy`` of
-        :meth:`_query` inside its slice: the point's unit-disk coordinate,
-        the nearest core point and the Poincare distance to it."""
-        w = disk.to_unit_disk(_own_coord(y, disk))
-        foot_disk, dist = _disk_foot(w)
-        return w, disk.point(disk.from_unit_disk(foot_disk)).real, dist
+    def _foot(self, x, trace):
+        """``(foot, dist)`` of the non-real point of :meth:`_query` at x
+        with trace ``(speed, a, b, unit)``: the nearest core point and the
+        Poincare distance to it.  The point's line coordinate is ``i
+        speed``, so its unit-disk coordinate is ``(-(a + b) + 2i speed) /
+        (b - a)``."""
+        speed, a, b, unit = trace
+        length = b - a
+        foot, dist = _disk_foot(complex(-(a + b) / length, 2.0 * speed / length))
+        return x + (0.5 * (length * foot + (a + b))) * unit, dist
 
     def u_value(self, z):
         """Boundary angle ``arctan(p + p~, 1 - p p~)`` in [0, pi/2)."""
-        _, y, disk = self._query(z)
-        return 0.0 if disk is None else _angle(row_norms(y[None])[0], disk.a, disk.b)
+        _, trace = self._query(z)
+        return 0.0 if trace is None else _angle(*trace[:3])
 
     def u_value_rows(self, zeta):
         """:meth:`u_value` of every row of a (B, n) complex chart array, each
         row rounded as the one-point call rounds it."""
-        x, _, real, speed, a, b = self._query_rows(zeta)
+        x, real, speed, a, b, _ = self._query_rows(zeta)
         u = np.zeros(len(x))
         u[~real] = _angle_rows(speed, a, b)
         return u
@@ -253,49 +254,35 @@ class Tube:
         geometrically in the normalized slice disk and mapped back.  Both
         routes to the distance agree within 1e-9.
         """
-        x, y, disk = self._query(z)
-        if disk is None:
+        x, trace = self._query(z)
+        if trace is None:
             return 0.0, x
-        dist = distance_from_angle(_angle(row_norms(y[None])[0], disk.a, disk.b))
-        return dist, self._foot(y, disk)[1]
+        return distance_from_angle(_angle(*trace[:3])), self._foot(x, trace)[0]
 
     def core_distance_rows(self, zeta):
         """:meth:`core_distance` of every row of a (B, n) complex chart
         array, each row rounded as the one-point call rounds it: ``(dist,
         foot)``, a (B,) and a (B, n) array.  Raises as the one-point call
         raises when any row would."""
-        x, y, real, speed, a, b = self._query_rows(zeta)
+        x, real, speed, a, b, unit = self._query_rows(zeta)
         dist = np.zeros(len(x))
         dist[~real] = [distance_from_angle(u) for u in _angle_rows(speed, a, b).tolist()]
         foot = x.copy()
-        foot[~real] = self._slice_foot_rows(x[~real], y[~real], speed, a, b)[2]
+        foot[~real] = self._slice_foot_rows(x[~real], speed, a, b, unit)[0]
         return dist, foot
 
-    def _slice_foot_rows(self, x, y, speed, a, b):
-        """The slice geometry of the non-real points x + iy, rows of (B, n)
-        arrays, at height ``speed = |y|`` over the clip (a, b) of their trace
-        lines (see :meth:`_query_rows`), each row rounded as :meth:`_foot`
-        rounds one point: ``(direction, w_im, foot, dist)``, the slice's
-        unit chart direction, the imaginary part of the point's unit-disk
-        coordinate, the nearest core point and the Poincare distance to
-        it."""
-        direction = y / speed[:, None]  # as _trace_clips rounds it
-        # SliceDisk.coord: the point minus x0 = x is exactly 0 + iy, and its
-        # line coordinate the complex dot product with the direction
-        offset = np.zeros(y.shape, dtype=np.complex128)
-        offset.imag = y
-        tau = (offset[:, None, :] @ direction[:, :, None])[:, 0, 0]
-        t_re, t_im = tau.real, tau.imag
-        # a coordinate inside coord's reality band comes back real
-        t_im = np.where(np.abs(t_im) <= _REAL_BAND * (1.0 + np.hypot(t_re, t_im)), 0.0, t_im)
+    def _slice_foot_rows(self, x, speed, a, b, unit):
+        """:meth:`_foot` of the non-real points of :meth:`_query_rows` at the
+        rows x of a (B, n) array, with their traces ``(speed, a, b,
+        unit)``, each row rounded as the one-point call rounds it:
+        ``(foot, dist)``, a (B, n) and a (B,) array."""
         length = b - a
-        w_re = (2.0 * t_re - (a + b)) / length
-        w_im = 2.0 * t_im / length
+        w_re = -(a + b) / length
+        w_im = 2.0 * speed / length
         if not np.all(np.hypot(w_re, w_im) < 1.0):
             raise OutsideTubeError(_OFF_DISK)
-        foot_disk, dist = geodesic_foot_rows(w_re, w_im)
-        foot = x + (0.5 * (length * foot_disk + (a + b)))[:, None] * direction
-        return direction, w_im, foot, dist
+        foot, dist = geodesic_foot_rows(w_re, w_im)
+        return x + (0.5 * (length * foot + (a + b)))[:, None] * unit, dist
 
     def boundary_classify(self, z, band=1e-8):
         """Interior / Exterior / RealBoundary / ComplexBoundary with a
@@ -320,7 +307,8 @@ class Tube:
         kinds[real & (np.abs(m) < band)] = _REAL_BOUNDARY
         sliced = inside & ~real
         if np.any(sliced):
-            on_slice, prod = _gauge_product(*self._trace_clips(x[sliced], y[sliced])[:3])
+            speed, _, a, b, _ = self.base.ray_clips(x[sliced], y[sliced])
+            on_slice, prod = _gauge_product(speed, a, b)
             sub = np.where(on_slice & (prod < 1.0), _INTERIOR, _EXTERIOR)
             sub[on_slice & (np.abs(prod - 1.0) < band)] = _COMPLEX_BOUNDARY
             kinds[sliced] = sub
@@ -342,11 +330,12 @@ class Tube:
         x, y, real = self._split_rows(np.stack(zeta))
         if real.all():
             return float(self.real_pair_distances(x[:1], x[1:])[0])
-        # the slice through the first non-real point; the other point is
-        # outside input, so coord checks that it lies on that slice's line
+        # the slice through the first non-real point, at line coordinate
+        # i |y| on it; the other point is outside input, so coord checks
+        # that it lies on that slice's line
         anchor = int(real[0])
         disk = self.slice_on_line(x[anchor], y[anchor])
-        tau = [_own_coord(y[k], disk) if k == anchor else disk.coord(zeta[k]) for k in (0, 1)]
+        tau = [1j * np.linalg.norm(y[k]) if k == anchor else disk.coord(zeta[k]) for k in (0, 1)]
         return disk.poincare(*tau)
 
     def real_pair_distances(self, x, y):
@@ -459,19 +448,6 @@ def _disk_foot(w):
     if not abs(w) < 1.0:
         raise OutsideTubeError(_OFF_DISK)
     return geodesic_foot(w)
-
-
-def _own_coord(y, disk):
-    """:meth:`SliceDisk.coord` of the non-real point ``x + iy`` on the slice
-    built through it, ``slice_on_line(x, y)``, without coord's check that
-    the point lies on that line."""
-    # the point minus x0 = x is exactly 0 + iy, and its line coordinate the
-    # complex dot product with the direction
-    offset = np.zeros(y.shape, dtype=np.complex128)
-    offset.imag = y
-    tau = offset @ disk.direction
-    # a coordinate inside coord's reality band comes back real
-    return float(tau.real) if abs(tau.imag) <= _REAL_BAND * (1.0 + abs(tau)) else complex(tau)
 
 
 def _real_rows(x, y):

@@ -333,6 +333,21 @@ def test_bad_complex_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("map", "--domain", "square", "nan,0"), "non-finite coordinate 'nan'"),
+    (("map", "--domain", "square", "inf,0"), "non-finite coordinate 'inf'"),
+    (("dist", "--domain", "square", "nan,0", "0,0"), "non-finite coordinate 'nan'"),
+    (("map", "--domain", "square", "0.5i"), "expected 2 coordinates, not 1"),
+    (("slice", "--domain", "square", "--anchor", "1,2,3"), "expected 2 coordinates, not 3"),
+    (("slice", "--domain", "square", "--direction", "1"), "expected 2 coordinates, not 1"),
+])
+def test_bad_coordinates_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "dist", "--file", "/nonexistent.dom", "0", "0.5")
     assert code == 2

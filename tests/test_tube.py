@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptic_tubes import catalog
-from elliptic_tubes.diskgeom import poincare_distance
+from elliptic_tubes.diskgeom import geodesic_foot, poincare_distance
 from elliptic_tubes.domains import ConvexDomain, Ellipsoid, VPolytope
 from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.duality import dual_of, dual_tube
@@ -16,9 +16,10 @@ from elliptic_tubes.errors import (
     NotInteriorError,
     OutsideTubeError,
     RealPointError,
+    ZeroDirectionError,
 )
 from elliptic_tubes.projective import Chart, HPoint, ProjectiveMap
-from elliptic_tubes.tangent import to_tangent
+from elliptic_tubes.tangent import from_tangent_rows, to_tangent
 from elliptic_tubes.tube import (
     COMPLEX_BOUNDARY,
     EXTERIOR,
@@ -172,7 +173,7 @@ def test_slice_disk_clips_the_line_the_membership_tests_clip(name):
     # direction by its norm once, in the same rounding: same (a, b) bits
     tube = Tube(catalog.by_name(name))
     zs = tube.sample_points(np.random.default_rng(1), 2000)
-    _, a, b, ok = tube._trace_clips(zs.real, zs.imag)
+    _, _, a, b, ok = tube.base.ray_clips(zs.real, zs.imag)
     assert ok.all()
     disks = [tube.slice_disk(z) for z in zs]
     assert np.array_equal([(d.a, d.b) for d in disks], np.column_stack([a, b]))
@@ -199,7 +200,11 @@ def test_each_query_clips_its_trace_line_once(monkeypatch, name):
         calls.append(len(x0))
         return clip_lines(self, x0, directions)
 
+    def no_slice_disk(self, line):
+        raise AssertionError("a one-point query built a SliceDisk")
+
     monkeypatch.setattr(ConvexDomain, "clip_lines", counted)
+    monkeypatch.setattr(ConvexDomain, "line_clip", no_slice_disk)
     queries = (tube.u_value, tube.core_distance, lambda z: to_tangent(tube, z))
     for z in zs:
         for query in queries:
@@ -210,6 +215,40 @@ def test_each_query_clips_its_trace_line_once(monkeypatch, name):
     calls.clear()
     tube.core_distance_rows(np.concatenate([zs, zs.real + 0j]))
     assert calls == [len(zs)]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_query_point_at_i_abs_y_matches_the_slice_coordinate_route(name):
+    # reference: the point's line coordinate from SliceDisk.coord, the
+    # complex dot product with the slice direction
+    tube = Tube(catalog.by_name(name))
+    for z in tube.sample_points(np.random.default_rng(3), 200):
+        disk = tube.slice_disk(z)
+        foot_w, dist = geodesic_foot(disk.to_unit_disk(disk.coord(z)))
+        foot = disk.point(disk.from_unit_disk(foot_w)).real
+        np.testing.assert_allclose(tube.core_distance(z)[1], foot, rtol=0.0, atol=1e-12)
+        vec = to_tangent(tube, z)
+        assert vec.magnitude == pytest.approx(dist, rel=0.0, abs=1e-12)
+        assert np.array_equal(vec.direction, disk.direction)
+
+
+def test_a_zero_line_direction_is_rejected(square):
+    tube = Tube(square)
+    x, zero = np.array([0.1, -0.2]), np.zeros(2)
+    calls = (lambda: square.line_clip((x, zero)), lambda: tube.slice_on_line(x, zero),
+             lambda: from_tangent_rows(tube, x[None], zero[None], np.array([0.5])))
+    for call in calls:
+        with pytest.raises(ZeroDirectionError, match="line direction must be nonzero"):
+            call()
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_one_ray_clip_divides_the_direction_as_a_vector_norm_does(name):
+    domain = catalog.by_name(name)
+    rng = np.random.default_rng(4)
+    for x, v in zip(domain.sample_interior(rng, 100), rng.normal(size=(100, domain.n))):
+        unit = domain.ray_clips(x[None], v[None])[1][0]
+        assert unit.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 def test_unit_disk_normalization_round_trip(triangle, rng):
