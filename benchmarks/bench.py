@@ -11,7 +11,9 @@ sides again alternating which runs first.  Last, each checkout runs
 elliptic_tubes.cli`` processes, the sides alternating from round to round:
 the wall a user pays per command, interpreter start and imports included,
 which perfbench's ``setup_s`` does not see (it re-imports only the
-package's own modules).
+package's own modules).  Each checkout then prints the tables of its own
+``benchmarks/bench_kernels.py`` (``KERNELS``): the raster kernel and the
+component counts at 512² and 1024², and the stages of a line check.
 
     python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
 
@@ -28,8 +30,9 @@ pairs of each run's median latency of that kind in ms (the run record's
 Tier-1 wall time and pass counts of each side; the median and quartiles
 of each acceptance criterion's wall time on each side (the call phase,
 from ``pytest --durations=0 tests/test_acceptance.py``); the median and
-quartiles of each cold command's wall time on each side; and the machine:
-the number of CPUs and the Python, NumPy and SciPy versions.
+quartiles of each cold command's wall time on each side; each side's
+kernel tables, as printed lines; and the machine: the number of CPUs and
+the Python, NumPy and SciPy versions.
 """
 
 import argparse
@@ -54,6 +57,8 @@ COLD_RUNS = 7
 COLD_COMMANDS = [["check", "--domain", name, "--suite", "all"]
                  for name in ("interval", "halfline", "disk", "ellipse", "square", "triangle",
                               "simplex")] + [["map", "--domain", "interval", "0.5i"]]
+KERNELS = [sys.executable, os.path.join("benchmarks", "bench_kernels.py"),
+           "--resolutions", "512,1024", "--lines", "20"]
 
 
 def revision(root):
@@ -128,6 +133,17 @@ def cold_walls(roots):
     return {side: {cmd: {**spread(runs), "exit": sorted(codes[side][cmd])}
                    for cmd, runs in times.items()}
             for side, times in walls.items()}
+
+
+def kernel_tables(roots):
+    """Per side, the lines that its own ``KERNELS`` script printed."""
+    tables = {}
+    for side, root in roots.items():
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(KERNELS, cwd=root, env=env, capture_output=True, text=True,
+                              check=True)
+        tables[side] = proc.stdout.splitlines()
+    return tables
 
 
 def spread(values):
@@ -208,6 +224,7 @@ def main(argv=None):
         "tier1": {side: tier1(root) for side, root in roots.items()},
         "criterion_walls_s": criterion_walls(roots),
         "cold_start_s": cold_walls(roots),
+        "kernel_tables": kernel_tables(roots),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -225,6 +242,8 @@ def main(argv=None):
     for cmd in cold["change"]:
         print(f"{cmd:<50} parent {cold['parent'][cmd]['median']:<8.3g} "
               f"change {cold['change'][cmd]['median']:.3g}")
+    for side, lines in result["kernel_tables"].items():
+        print(f"{side} kernels\n" + "\n".join(lines))
     return 0
 
 

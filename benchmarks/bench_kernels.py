@@ -1,12 +1,14 @@
 """Benchmark the raster kernels, component counts and the stages of a line.
 
-The kernel table times ``pairwise_bitmap`` on the triangle (m = 3 rows) and
-the square (m = 4) and ``ellipsoid_bitmap`` on the ellipse, at each
-resolution, on a random complex line through the tube over the window the
+The kernel table times, at each resolution, the run kernel
+``_kernels.form_runs`` on the membership forms of the triangle (m = 3
+rows, 3 pair forms), the square (m = 4, 6 pair forms) and the ellipse (one
+form), on a random complex line through the tube over the window the
 C-convexity verifier rasters: the box of the slice's boundary arcs, padded
-by 2 px.  ``connectivity_counts`` (one pass over the region's row runs and
-a component count of their graph) is timed on the bitmap the kernel
-returned.  Times are the best of ``--repeat`` runs.
+by 2 px.  On the runs the kernel returned it times ``paint_runs`` (the
+bitmap a ``SliceRaster`` paints when it is read) and ``run_counts`` (a
+component count of the runs' graph), each on its own.  Times are the best
+of ``--repeat`` runs.
 
 The stage table splits one-line ``verify_c_convexity`` calls (512 px with
 the 2x stability raster, as the ``slice-rasters`` benchmark workload runs
@@ -15,7 +17,7 @@ them) into the boundary arcs (``slice_topology``, the verdict), the raster
 with the arcs) and the component counts, averaged over ``--lines`` seeds
 per domain.
 
-    python3 benchmarks/bench_kernels.py [--resolutions 256,512,1024] [--repeat 5] [--lines 10]
+    python3 benchmarks/bench_kernels.py [--resolutions 512,1024] [--repeat 5] [--lines 10]
 """
 
 import argparse
@@ -39,30 +41,30 @@ def _best(func, args, repeat):
     return best, out
 
 
-def _kernel_call(tube, anchor, direction, resolution):
-    """The kernel and arguments ``rasterize_line`` would use in the line
+def _kernel_args(tube, anchor, direction, resolution):
+    """The forms and pixel centres ``rasterize_line`` would use in the line
     check's window."""
-    bbox = _kernels.slice_topology(*verify._line_forms(tube, anchor, direction))[2]
-    (re_lo, re_hi), (im_lo, im_hi) = verify._raster_window(bbox, resolution)
+    forms = verify._line_forms(tube, anchor, direction)
+    (re_lo, re_hi), (im_lo, im_hi) = verify._raster_window(_kernels.slice_topology(*forms)[2],
+                                                           resolution)
     centres = (np.arange(resolution) + 0.5) / resolution
-    w_re = re_lo + centres * (re_hi - re_lo)
-    w_im = im_lo + centres * (im_hi - im_lo)
-    kernel, _, args = verify._line_kernel(tube, anchor, direction)
-    return kernel, (*args, w_re, w_im)
+    return (*forms, re_lo + centres * (re_hi - re_lo), im_lo + centres * (im_hi - im_lo))
 
 
 def kernel_table(resolutions, repeat):
-    print(f"{'case':<24} {'res':>5} {'kernel ms':>10} {'counts ms':>9} {'filled':>7}")
+    print(f"{'case':<24} {'res':>5} {'runs ms':>8} {'paint ms':>8} {'counts ms':>9} "
+          f"{'filled':>7}")
     for name, label in CASES:
         tube = Tube(catalog.by_name(name))
         rng = np.random.default_rng(np.random.SeedSequence([0]))
         anchor, direction, _ = verify._random_line(tube, rng)
         for res in resolutions:
-            kernel, args = _kernel_call(tube, anchor, direction, res)
-            t_kernel, bitmap = _best(kernel, args, repeat)
-            t_counts, _ = _best(verify.connectivity_counts, (bitmap,), repeat)
-            print(f"{name + ' (' + label + ')':<24} {res:>5} {t_kernel * 1e3:>10.2f} "
-                  f"{t_counts * 1e3:>9.2f} {bitmap.mean():>7.1%}")
+            args = _kernel_args(tube, anchor, direction, res)
+            t_runs, runs = _best(_kernels.form_runs, args, repeat)
+            t_paint, bitmap = _best(_kernels.paint_runs, (*runs, (res, res)), repeat)
+            t_counts, _ = _best(verify.run_counts, (*runs, res + 1), repeat)
+            print(f"{name + ' (' + label + ')':<24} {res:>5} {t_runs * 1e3:>8.2f} "
+                  f"{t_paint * 1e3:>8.2f} {t_counts * 1e3:>9.2f} {bitmap.mean():>7.1%}")
 
 
 def stage_table(lines, resolution=512, stability=2):
@@ -71,7 +73,7 @@ def stage_table(lines, resolution=512, stability=2):
     stages = ("arcs", "raster", "counts")
     patched = [(module, attr, getattr(module, attr)) for module, attr in
                ((_kernels, "slice_topology"), (verify, "rasterize_line"),
-                (verify, "connectivity_counts"))]
+                (verify, "run_counts"))]
 
     def timed(func, stage):
         def run(*args, **kwargs):
@@ -107,7 +109,7 @@ def stage_table(lines, resolution=512, stability=2):
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--resolutions", default="256,512,1024")
+    parser.add_argument("--resolutions", default="512,1024")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--lines", type=int, default=10)
     args = parser.parse_args()

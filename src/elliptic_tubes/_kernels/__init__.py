@@ -9,31 +9,42 @@ Hermitian form in ``(1, w)``.  With ``w = x + i y``,
 a column term plus a row term, so the sign of ``f`` over a whole raster is
 one broadcast comparison of two short vectors (`form_mask`) and no complex
 grid arithmetic.  Comparing ``column > -row`` decides exactly the sign of
-the rounded sum ``column + row``.  The zero set of each form is a circle,
-a line or at most a point, so the region where every form is positive is
-bounded by circle arcs and segments, and `slice_topology` counts its
-components and holes from them, with no pixels.  `component_labels` labels
-graph components, the arc cycles here and the raster's row runs in
-`verify.connectivity_counts`.
+the rounded sum ``column + row``.  The column term is a parabola in x, so
+on each row the inside set of one form is an interval or the complement
+of one, and `form_runs` finds it by binary search, with the very
+comparisons `form_mask` makes, as row runs (`mask_runs` gives the runs of
+a bitmap and `paint_runs` the bitmap of runs).  The zero set of each form
+is a circle, a line or at most a point, so the region where every form is
+positive is bounded by circle arcs and segments, and `slice_topology`
+counts its components and holes from them, with no pixels.
+`component_labels` labels graph components, the arc cycles here and the
+row runs in `verify.run_counts`.
 
-`pairwise_forms` and `ellipsoid_forms` build the forms; the kernels are
-`form_mask` of them.
+`pairwise_forms` and `ellipsoid_forms` build the forms; the kernels paint
+`form_runs` of them.
 
 Kernel contract
 ---------------
+``form_runs(alpha, beta, gamma, w_re, w_im)``
+    The pixels of ``form_mask`` (row i, column j holds ``w = w_re[j] + i
+    w_im[i]``) as the maximal runs of set pixels, row by row: two int
+    arrays ``(start, end)``, keyed ``i * (len(w_re) + 1) + j`` with ``end``
+    exclusive, increasing.  A column term that rounding leaves not
+    unimodal, or NaN, falls back to the runs of ``form_mask``.
+
 ``pairwise_bitmap(fam_a, fam_b, w_re, w_im)``
     For a functional family evaluated on a complex line ``z(w) = A + w B``
     the values are ``v_k(w) = fam_a[k] + w fam_b[k]``.  A pixel is inside
     the tube exactly when ``Re(v_p conj(v_q)) > 0`` for every pair
-    ``p <= q``.  Returns a uint8 bitmap of shape ``(len(w_im), len(w_re))``
-    (row i, column j holds ``w = w_re[j] + i w_im[i]``).
+    ``p <= q``.  Returns a uint8 bitmap of shape ``(len(w_im), len(w_re))``.
 
 ``ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im)``
     ``aff_a, aff_b`` are chart-evaluated lifts (n basis values plus the
     chart-infinity value last).  A pixel with chart value
     ``zeta = head / last`` is inside the tube over the ellipsoid exactly
     when ``(Re zeta - c)^T S (Re zeta - c) + (Im zeta)^T S (Im zeta) < 1``;
-    pixels at chart infinity are outside.
+    pixels at chart infinity are outside.  A line that may reach chart
+    infinity at a pixel (`_infinity_block`) is decided by ``form_mask``.
 """
 
 import numpy as np
@@ -46,13 +57,10 @@ def backend():
     return "numpy"
 
 
-def form_mask(alpha, beta, gamma, w_re, w_im):
-    """Pixels where every form ``gamma_k + Re(beta_k w) + alpha_k |w|^2``
-    is > 0.
-
-    ``alpha`` and ``gamma`` are real, ``beta`` complex, all of length K.
-    Returns a bool array of shape ``(len(w_im), len(w_re))``.
-    """
+def _form_terms(alpha, beta, gamma, w_re, w_im):
+    """``(alpha, cols, neg_rows)``: each form's column term ``alpha x^2 +
+    Re(beta) x`` at every ``x`` of ``w_re``, (K, W), and its negated row
+    term at every ``y`` of ``w_im``, (K, H)."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     beta = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
@@ -60,10 +68,99 @@ def form_mask(alpha, beta, gamma, w_re, w_im):
     y = np.asarray(w_im, dtype=np.float64)
     cols = alpha[:, None] * (x * x) + beta.real[:, None] * x
     neg_rows = -(alpha[:, None] * (y * y) - beta.imag[:, None] * y + gamma[:, None])
-    mask = np.ones((len(y), len(x)), dtype=bool)
+    return alpha, cols, neg_rows
+
+
+def form_mask(alpha, beta, gamma, w_re, w_im):
+    """Pixels where every form ``gamma_k + Re(beta_k w) + alpha_k |w|^2``
+    is > 0.
+
+    ``alpha`` and ``gamma`` are real, ``beta`` complex, all of length K.
+    Returns a bool array of shape ``(len(w_im), len(w_re))``.
+    """
+    _, cols, neg_rows = _form_terms(alpha, beta, gamma, w_re, w_im)
+    mask = np.ones((neg_rows.shape[1], cols.shape[1]), dtype=bool)
     for col, neg_row in zip(cols, neg_rows):
         mask &= np.greater(col[None, :], neg_row[:, None])
     return mask
+
+
+def form_runs(alpha, beta, gamma, w_re, w_im):
+    """`form_mask` as row runs ``(start, end)``: the maximal runs of inside
+    pixels, row by row, keyed ``row * (W + 1) + column`` with ``end``
+    exclusive (`mask_runs`).
+
+    Each form's column term is a parabola in ``x``.  A convex one (``alpha
+    >= 0``) falls to its vertex (`argmin`) and rises after it, so on each
+    row the columns where it is ``<= -row`` make one gap, found by
+    `searchsorted` (``side="right"``) on the two monotone halves; those
+    comparisons are exactly the negations of `form_mask`'s.  A concave one
+    is negated, which is exact, and the columns where it is ``< row``
+    (``side="left"``) make one interval.  Each row keeps the intersection
+    of the intervals minus the union of the gaps.  A computed column term
+    that is not unimodal (rounding can wiggle it near its vertex), and a
+    NaN term, fall back to the runs of `form_mask`.
+    """
+    alpha, cols, neg_rows = _form_terms(alpha, beta, gamma, w_re, w_im)
+    height, width = neg_rows.shape[1], cols.shape[1]
+    sign = np.where(alpha >= 0.0, 1.0, -1.0)[:, None]
+    cols, bounds = sign * cols, sign * neg_rows
+    vertices = np.argmin(cols, axis=1)
+    steps = np.arange(width - 1)[None, :] < vertices[:, None]
+    unimodal = np.where(steps, cols[:, 1:] <= cols[:, :-1], cols[:, 1:] >= cols[:, :-1]).all()
+    if not unimodal or np.isnan(cols).any() or np.isnan(bounds).any():
+        return mask_runs(form_mask(alpha, beta, gamma, w_re, w_im))
+    lo, hi = np.zeros(height, dtype=np.intp), np.full(height, width, dtype=np.intp)
+    gaps = []
+    for a, col, bound, vertex in zip(alpha, cols, bounds, vertices):
+        side = "right" if a >= 0.0 else "left"
+        first = vertex + 1 - np.searchsorted(col[vertex::-1], bound, side=side)
+        stop = vertex + np.searchsorted(col[vertex:], bound, side=side)
+        if a >= 0.0:
+            gaps.append((first, stop))
+        else:
+            np.maximum(lo, first, out=lo)
+            np.minimum(hi, stop, out=hi)
+    if gaps:
+        # the gaps clipped to [lo, hi), empty ones moved to hi, by start;
+        # the runs lie between the running end of the gaps before and the
+        # start of the next: [lo, s_0), [max e_<=0, s_1), ..., [max e, hi)
+        gap_lo, gap_hi = (np.clip(np.array(part), lo, hi) for part in zip(*gaps))
+        empty = gap_hi <= gap_lo
+        gap_lo[empty] = gap_hi[empty] = np.broadcast_to(hi, gap_lo.shape)[empty]
+        order = np.argsort(gap_lo, axis=0, kind="stable")
+        gap_lo = np.take_along_axis(gap_lo, order, axis=0)
+        gap_hi = np.maximum.accumulate(np.take_along_axis(gap_hi, order, axis=0), axis=0)
+        lo, hi = np.vstack([lo, gap_hi]).T, np.vstack([gap_lo, hi]).T
+    else:
+        lo, hi = lo[:, None], hi[:, None]
+    keep = lo < hi
+    base = (np.arange(height) * (width + 1))[:, None]
+    return (base + lo)[keep], (base + hi)[keep]
+
+
+def mask_runs(mask):
+    """The row runs ``(start, end)`` of a 2-D bitmap: the maximal runs of
+    set pixels, row by row, each keyed ``row * (W + 1) + column`` with
+    ``end`` exclusive, so that the keys increase along the rows."""
+    mask = np.asarray(mask)
+    rows, width = mask.shape
+    framed = np.zeros((rows, width + 2), dtype=bool)
+    framed[:, 1:-1] = mask
+    # a run starts and ends (exclusively) at a change along its row, and
+    # the flat index of a change is its key
+    edges = np.flatnonzero(framed[:, 1:] != framed[:, :-1])
+    return edges[0::2], edges[1::2]
+
+
+def paint_runs(start, end, shape):
+    """The uint8 bitmap of the given ``shape`` whose set pixels are the row
+    runs ``(start, end)`` (keyed as by `mask_runs`)."""
+    height, width = shape
+    # along the flat rows of width + 1, gaps and runs alternate
+    bounds = np.concatenate(([0], np.column_stack([start, end]).ravel(), [height * (width + 1)]))
+    flat = np.repeat(np.arange(len(bounds) - 1) % 2 == 1, np.diff(bounds))
+    return np.ascontiguousarray(flat.reshape(height, width + 1)[:, :width]).view(np.uint8)
 
 
 def pairwise_forms(fam_a, fam_b):
@@ -104,12 +201,21 @@ def ellipsoid_forms(center, shape, aff_a, aff_b):
 
 
 def pairwise_bitmap(fam_a, fam_b, w_re, w_im):
-    return form_mask(*pairwise_forms(fam_a, fam_b), w_re, w_im).view(np.uint8)
+    return paint_runs(*form_runs(*pairwise_forms(fam_a, fam_b), w_re, w_im),
+                      (len(w_im), len(w_re)))
 
 
 def ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im):
-    mask = form_mask(*ellipsoid_forms(center, shape, aff_a, aff_b), w_re, w_im)
-    _clear_chart_infinity(mask, np.complex128(aff_a[-1]), np.complex128(aff_b[-1]), w_re, w_im)
+    forms = ellipsoid_forms(center, shape, aff_a, aff_b)
+    last_a, last_b = np.complex128(aff_a[-1]), np.complex128(aff_b[-1])
+    block = _infinity_block(last_a, last_b, w_re, w_im)
+    if block is None:
+        return paint_runs(*form_runs(*forms, w_re, w_im), (len(w_im), len(w_re)))
+    mask = form_mask(*forms, w_re, w_im)
+    rows, cols = block
+    w = np.asarray(w_re, dtype=np.float64)[cols][None, :] \
+        + 1j * np.asarray(w_im, dtype=np.float64)[rows][:, None]
+    mask[np.ix_(rows, cols)] &= np.abs(last_a + w * last_b) > _INFINITY_TOL
     return mask.view(np.uint8)
 
 
@@ -277,25 +383,26 @@ def component_labels(count, first, second):
     return label
 
 
-def _clear_chart_infinity(mask, last_a, last_b, w_re, w_im):
-    """Clear the pixels where ``last_a + w last_b`` is zero to within
-    ``_INFINITY_TOL``.
+def _infinity_block(last_a, last_b, w_re, w_im):
+    """``(rows, cols)``, the indices of a block of pixels holding every
+    pixel where ``last_a + w last_b`` may be zero to within
+    ``_INFINITY_TOL``, or None when no pixel can be.
 
     For a positive shape the form is already >= 0 there in exact
-    arithmetic; the guard keeps such pixels outside whatever the rounding
-    (or an indefinite shape).  The zero of ``last`` is one point ``w0``, so
-    only pixels within a rounding-safe radius of it are evaluated.
+    arithmetic; clearing the block's pixels at chart infinity keeps them
+    outside whatever the rounding (or an indefinite shape).  The zero of
+    ``last`` is one point ``w0``, so the block holds the pixels within a
+    rounding-safe radius of it; with ``last_b = 0`` it is every pixel or
+    none.
     """
-    if last_b == 0:
-        if not abs(last_a) > _INFINITY_TOL:
-            mask[:] = False
-        return
-    w0 = -last_a / last_b
-    radius = 1e-6 * (1.0 + abs(w0))
     x = np.asarray(w_re, dtype=np.float64)
     y = np.asarray(w_im, dtype=np.float64)
+    if last_b == 0:
+        if abs(last_a) > _INFINITY_TOL:
+            return None
+        return np.arange(len(y)), np.arange(len(x))
+    w0 = -last_a / last_b
+    radius = 1e-6 * (1.0 + abs(w0))
     cols = np.flatnonzero(np.abs(x - w0.real) <= radius)
     rows = np.flatnonzero(np.abs(y - w0.imag) <= radius)
-    if len(cols) and len(rows):
-        w = x[cols][None, :] + 1j * y[rows][:, None]
-        mask[np.ix_(rows, cols)] &= np.abs(last_a + w * last_b) > _INFINITY_TOL
+    return (rows, cols) if len(rows) and len(cols) else None

@@ -222,6 +222,15 @@ def _distinct_rows(rows):
     return rows[~np.tril(close, -1).any(axis=1)]
 
 
+def _finite(point):
+    """``point``, a chart array, once every coordinate is known finite."""
+    finite = np.isfinite(point)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValidationError(f"chart coordinate {k} is not finite: {point[k]}")
+    return point
+
+
 class ConvexDomain:
     """A properly convex open domain, bounded in its chart."""
 
@@ -293,15 +302,16 @@ class ConvexDomain:
     # basic queries
 
     def chart_point(self, x):
-        """Coerce an HPoint or chart array to chart coordinates."""
+        """Coerce an HPoint or chart array to chart coordinates; a
+        non-finite coordinate raises ValidationError."""
         if isinstance(x, HPoint):
-            return self.chart.to_chart(x)
+            return _finite(self.chart.to_chart(x))
         arr = np.asarray(x)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.shape != (self.n,):
             raise ValueError(f"expected a point of R^{self.n}")
-        return arr
+        return _finite(arr)
 
     def contains(self, x):
         """Strict interior membership in chart coordinates."""

@@ -23,7 +23,7 @@ from .diskgeom import (
     geodesic_foot,
     geodesic_foot_rows,
 )
-from .domains import _REAL_BAND, ConvexDomain, _quadratic, box_rejection
+from .domains import _REAL_BAND, ConvexDomain, _finite, _quadratic, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -54,19 +54,20 @@ class Tube:
     # coordinates
 
     def chart_complex(self, z):
-        """Complex chart coordinates of a point; None at chart infinity."""
+        """Complex chart coordinates of a point; None at chart infinity.  A
+        non-finite coordinate raises ValidationError."""
         if isinstance(z, HPoint):
             try:
                 zeta = self.chart.to_chart(z)
             except InfinityError:
                 return None
-            return np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+            return _finite(np.atleast_1d(np.asarray(zeta, dtype=np.complex128)))
         arr = np.asarray(z)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.shape != (self.n,):
             raise ValueError(f"expected a chart point of C^{self.n}")
-        return arr.astype(np.complex128)
+        return _finite(arr.astype(np.complex128))
 
     def _split(self, z):
         """(x, y, is_real) with the chart-level reality band applied."""

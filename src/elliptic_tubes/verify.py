@@ -11,6 +11,7 @@ separator combination for linear convexity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,22 +40,29 @@ _WINDOW_MARGIN = 1.1
 
 @dataclass
 class SliceRaster:
-    """A membership bitmap over a complex line ``z(w) = anchor + w dir``."""
+    """Tube membership over a complex line ``z(w) = anchor + w dir``: the
+    row runs of its inside pixels (`_kernels.form_runs`), and their bitmap,
+    painted when first read."""
 
-    bitmap: np.ndarray
+    runs: tuple
     w_re: np.ndarray
     w_im: np.ndarray
     anchor: np.ndarray
     direction: np.ndarray
     window: tuple
 
+    @cached_property
+    def bitmap(self):
+        return _kernels.paint_runs(*self.runs, self.resolution)
+
     @property
     def resolution(self):
-        return self.bitmap.shape
+        return len(self.w_im), len(self.w_re)
 
     @property
     def filled(self):
-        return int(self.bitmap.sum())
+        start, end = self.runs
+        return int((end - start).sum())
 
     @property
     def touches_frame(self):
@@ -104,14 +112,8 @@ def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
     w_re = re_lo + (np.arange(res) + 0.5) * d_re
     w_im = im_lo + (np.arange(res) + 0.5) * d_im
 
-    kernel, _, args = _line_kernel(tube, anchor, direction)
-    bitmap = kernel(*args, w_re, w_im)
-    if puncture is not None:
-        bitmap = bitmap & _kernels.form_mask(*_puncture_form(anchor, direction, puncture),
-                                             w_re, w_im)
-
     return SliceRaster(
-        bitmap=bitmap,
+        runs=_kernels.form_runs(*_line_forms(tube, anchor, direction, puncture), w_re, w_im),
         w_re=w_re,
         w_im=w_im,
         anchor=anchor,
@@ -129,55 +131,51 @@ def _puncture_form(anchor, direction, puncture):
             np.vdot(shift, shift).real - p_radius * p_radius)
 
 
-def _line_kernel(tube: Tube, anchor, direction):
-    """``(kernel, forms, args)``: the raster kernel of the tube's base, the
-    builder of its forms, and their arguments on the line."""
-    if tube.base._rows is not None:
-        rows = tube.base.rows()
-        return (_kernels.pairwise_bitmap, _kernels.pairwise_forms,
-                (rows @ np.append(anchor, 1.0), rows @ np.append(direction, 0.0)))
-    center, shape = tube.base.ellipsoid_data()
-    return (_kernels.ellipsoid_bitmap, _kernels.ellipsoid_forms,
-            (center, shape, np.append(anchor, 1.0), np.append(direction, 0.0)))
-
-
 def _line_forms(tube: Tube, anchor, direction, puncture=None):
     """``(alpha, beta, gamma)`` of every membership form on the line: those
-    the raster kernel tests, and the puncture's."""
-    _, build, args = _line_kernel(tube, anchor, direction)
-    forms = build(*args)
+    of the tube's base, and the puncture's.
+
+    The line's lifts end in ``(1, 0)``, so no point of it lies at chart
+    infinity and an ellipsoid's one form decides it alone."""
+    lifts = (np.append(anchor, 1.0), np.append(direction, 0.0))
+    if tube.base._rows is not None:
+        rows = tube.base.rows()
+        forms = _kernels.pairwise_forms(rows @ lifts[0], rows @ lifts[1])
+    else:
+        forms = _kernels.ellipsoid_forms(*tube.base.ellipsoid_data(), *lifts)
     if puncture is None:
         return forms
     return tuple(np.append(f, g) for f, g in zip(forms, _puncture_form(anchor, direction, puncture)))
 
 
 def connectivity_counts(bitmap):
-    """(region components, complement components) of a bitmap.
+    """(region components, complement components) of a bitmap: the
+    `run_counts` of its row runs (`_kernels.mask_runs`).
 
     The region uses 4-connectivity and the complement 8-connectivity (the
     standard pairing that avoids digital topology paradoxes); the
     complement is framed, so the unbounded part counts once.
-
-    Both counts come from the region's row runs (maximal horizontal
-    segments of set pixels).  Two runs in consecutive rows are joined when
-    they share a column, which is 4-adjacency, so the region components
-    are the components C of this run graph.  Each run and each joint is an
-    interval, and a joint meets only its two runs, so the region deforms
-    onto the graph: its Euler number is V - E (V runs, E joints) and it
-    has ``C - (V - E)`` holes.  By duality in the plane each hole is one
-    bounded 8-component of the complement, and the frame adds one more.
-    These are the counts that labelling the region with 4-connectivity
-    and the framed complement with 8-connectivity gives.
     """
     bitmap = np.asarray(bitmap)
-    rows, width = bitmap.shape
-    framed = np.zeros((rows, width + 2), dtype=bool)
-    framed[:, 1:-1] = bitmap
-    # a run starts and ends (exclusively) at a change along its row; the
-    # flat index of a change is its row-major key, row * stride + column
-    stride = width + 1
-    edges = np.flatnonzero(framed[:, 1:] != framed[:, :-1])
-    start, end = edges[0::2], edges[1::2]
+    return run_counts(*_kernels.mask_runs(bitmap), bitmap.shape[1] + 1)
+
+
+def run_counts(start, end, stride):
+    """(region components, complement components) of the region made of
+    the row runs ``(start, end)``, keyed ``row * stride + column`` with
+    ``end`` exclusive and increasing (`_kernels.mask_runs`), ``stride``
+    being the width plus one.
+
+    Two runs in consecutive rows are joined when they share a column,
+    which is 4-adjacency, so the region's 4-components are the components
+    C of this run graph.  Each run and each joint is an interval, and a
+    joint meets only its two runs, so the region deforms onto the graph:
+    its Euler number is V - E (V runs, E joints) and it has ``C - (V -
+    E)`` holes.  By duality in the plane each hole is one bounded
+    8-component of the complement, and the frame adds one more.  These are
+    the counts that labelling the region with 4-connectivity and the
+    framed complement with 8-connectivity gives.
+    """
     n_runs = len(start)
     # the runs of the next row that share a column with each run: their
     # ends lie past its start and their starts before its end, one row on
@@ -333,7 +331,7 @@ def _check_line(tube: Tube, anchor, direction, resolution, stability_factor, pun
     for res in passes:
         raster = rasterize_line(tube, anchor, direction, resolution=res, window=window,
                                 puncture=puncture)
-        if connectivity_counts(raster.bitmap) == (components, holes + 1):
+        if run_counts(*raster.runs, len(raster.w_re) + 1) == (components, holes + 1):
             return violations, False
     return violations, True
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,16 @@ from scipy.sparse.csgraph import connected_components
 
 from elliptic_tubes import _kernels
 from elliptic_tubes import catalog
+from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.tube import Tube
-from elliptic_tubes.verify import _line_forms, _random_line, _raster_window, rasterize_line
+from elliptic_tubes.verify import (
+    _line_forms,
+    _random_line,
+    _raster_window,
+    connectivity_counts,
+    rasterize_line,
+    run_counts,
+)
 
 # Differing pixels must sit on a test whose exact value is zero to within
 # this multiple of the size of its terms.
@@ -357,6 +366,81 @@ def test_ellipsoid_pixel_at_chart_infinity_is_outside():
     np.testing.assert_array_equal(
         got, _reference_ellipsoid(center, -np.eye(2), aff_a, aff_b, w, w))
     assert got[20, 20] == 0 and got.sum() == got.size - 1
+
+
+# ----------------------------------------------------------------------
+# row runs
+
+_CUBE3 = Path(__file__).resolve().parents[1] / "perfbench" / "cube3.dom"
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """The calls to `_kernels.form_mask`, the fallback of the run kernel."""
+    calls = []
+    original = _kernels.form_mask
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "form_mask", counted)
+    return calls
+
+
+def _assert_runs_of_mask(runs, mask):
+    want = _kernels.mask_runs(mask)
+    np.testing.assert_array_equal(runs[0], want[0])
+    np.testing.assert_array_equal(runs[1], want[1])
+    np.testing.assert_array_equal(_kernels.paint_runs(*runs, mask.shape), mask.view(np.uint8))
+    assert run_counts(*runs, mask.shape[1] + 1) == connectivity_counts(mask)
+
+
+@pytest.mark.parametrize("resolution", [512, 1024])
+@pytest.mark.parametrize("name", catalog.names() + ["cube3"])
+def test_form_runs_are_the_mask_runs_on_verifier_lines(name, resolution, mask_calls):
+    tube = Tube(load_domain(str(_CUBE3)).domain if name == "cube3" else catalog.by_name(name))
+    rng = np.random.default_rng(np.random.SeedSequence([resolution, 21]))
+    for k in range(6):
+        puncture = None
+        if k % 2:  # through a real point of the base, with a hole round it
+            center = tube.sample_points(rng, 1)[0].real
+            puncture = (center, 0.05)
+        anchor, direction, _ = _random_line(tube, rng, through=None if puncture is None else center)
+        forms = _line_forms(tube, anchor, direction, puncture)
+        window = _raster_window(_kernels.slice_topology(*forms)[2], resolution)
+        raster = rasterize_line(tube, anchor, direction, resolution=resolution, window=window,
+                                puncture=puncture)
+        assert not mask_calls  # the binary search decided every row
+        _assert_runs_of_mask(raster.runs, _kernels.form_mask(*forms, raster.w_re, raster.w_im))
+        mask_calls.clear()
+
+
+def test_a_column_term_that_is_not_unimodal_falls_back_to_the_mask(mask_calls):
+    # the disk |w - c| < r far from w = 0 in a window a few r wide: the
+    # column term -x^2 + 2 c x is about c^2, and its steps are below the
+    # rounding of that
+    c, r = 1e4, 1e-4
+    forms = (np.array([-1.0]), np.array([2.0 * c + 0j]), np.array([r * r - c * c]))
+    w_re, w_im = c + np.linspace(-2.0 * r, 2.0 * r, 64), np.linspace(-2.0 * r, 2.0 * r, 64)
+    runs = _kernels.form_runs(*forms, w_re, w_im)
+    assert len(mask_calls) == 1
+    mask = _kernels.form_mask(*forms, w_re, w_im)
+    assert mask.any() and not mask.all()
+    _assert_runs_of_mask(runs, mask)
+
+
+def test_an_ellipsoid_line_through_chart_infinity_falls_back_to_the_mask(mask_calls):
+    center, shape = catalog.ellipse().ellipsoid_data()
+    w = np.linspace(-2.0, 2.0, 41)
+    # last = w: the centre pixel w = 0 may lie at chart infinity
+    aff_a = np.array([0.3 + 0.1j, -0.2 + 0j, 0.0])
+    _kernels.ellipsoid_bitmap(center, shape, aff_a, np.array([0.0, 0.0, 1.0 + 0j]), w, w)
+    assert len(mask_calls) == 1
+    # last = 1 - w / 5: its zero w = 5 lies outside the window
+    aff_a[-1] = 1.0
+    _kernels.ellipsoid_bitmap(center, shape, aff_a, np.array([0.0, 0.0, -0.2 + 0j]), w, w)
+    assert len(mask_calls) == 1
 
 
 @pytest.mark.parametrize("m", [1, 3])

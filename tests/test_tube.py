@@ -16,6 +16,7 @@ from elliptic_tubes.errors import (
     NotInteriorError,
     OutsideTubeError,
     RealPointError,
+    ValidationError,
     ZeroDirectionError,
 )
 from elliptic_tubes.projective import Chart, HPoint, ProjectiveMap
@@ -240,6 +241,27 @@ def test_a_zero_line_direction_is_rejected(square):
     for call in calls:
         with pytest.raises(ZeroDirectionError, match="line direction must be nonzero"):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["square", "ellipse"])
+def test_a_non_finite_coordinate_is_rejected_by_every_one_point_query(name, bad):
+    domain = catalog.by_name(name)
+    tube = Tube(domain)
+    queries = (tube.contains, tube.boundary_classify, tube.u_value, tube.core_distance,
+               lambda z: to_tangent(tube, z))
+    if domain._rows is not None:
+        queries += (tube.contains_pairwise,)
+    for coord in (complex(bad, 0.1), complex(0.1, bad)):
+        for k in range(2):
+            z = [0.1 + 0.05j, -0.1 + 0.02j]
+            z[k] = coord
+            for query in queries:
+                with pytest.raises(ValidationError, match=f"chart coordinate {k} is not finite"):
+                    query(z)
+    for query in (domain.contains, domain.margin):
+        with pytest.raises(ValidationError, match="chart coordinate 1 is not finite"):
+            query([0.1, bad])
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -23,6 +23,7 @@ from elliptic_tubes.verify import (
     _raster_window,
     connectivity_counts,
     rasterize_line,
+    run_counts,
     verify_c_convexity,
     verify_duality_identity,
     verify_exhaustion_monotone,
@@ -271,6 +272,25 @@ def test_connectivity_counts_match_the_labellings_on_rasters(name):
             fat = ndimage.binary_dilation(bitmap, structure=_EIGHT)
             for raster in (bitmap, fat):
                 assert connectivity_counts(raster) == _reference_counts(raster)
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "ellipse"])
+def test_run_counts_of_a_raster_are_the_counts_of_its_bitmap(name):
+    # the counts the line check takes from the runs, against the bitmap's,
+    # at 512 and 1024 px over the arcs' box, punctured and not
+    tube = Tube(catalog.by_name(name))
+    center = np.array([0.25, 0.25]) if name == "triangle" else np.zeros(2)
+    for seed in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        puncture = (center, 0.08) if seed % 2 else None
+        anchor, direction, _ = _random_line(tube, rng, through=center if seed % 2 else None)
+        window = _arc_window(tube, anchor, direction, puncture=puncture)
+        for resolution in (512, 1024):
+            raster = rasterize_line(tube, anchor, direction, resolution=resolution,
+                                    window=window, puncture=puncture)
+            counts = run_counts(*raster.runs, resolution + 1)
+            assert counts == connectivity_counts(raster.bitmap)
+            assert counts[1] == (2 if seed % 2 else 1)
 
 
 # ---------- slice topology from boundary arcs --------------------------------------
