@@ -13,6 +13,7 @@ reference point and scaled to unit Euclidean norm.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,10 +225,10 @@ def _distinct_rows(rows):
 
 def _finite(point):
     """``point``, a chart array, once every coordinate is known finite."""
-    finite = np.isfinite(point)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValidationError(f"chart coordinate {k} is not finite: {point[k]}")
+    # a loop over the few coordinates costs a fraction of one NumPy call
+    for k, value in enumerate(point.tolist()):
+        if not cmath.isfinite(value):
+            raise ValidationError(f"chart coordinate {k} is not finite: {point[k]}")
     return point
 
 
