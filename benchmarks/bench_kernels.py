@@ -7,14 +7,19 @@ form), on a random complex line through the tube over the window the
 C-convexity verifier rasters: the box of the slice's boundary arcs, padded
 by 2 px.  On the runs the kernel returned it times ``paint_runs`` (the
 bitmap a ``SliceRaster`` paints when it is read) and ``run_counts`` (a
-component count of the runs' graph), each on its own.  Times are the best
-of ``--repeat`` runs.
+component count of the runs' graph), each on its own.  Each column is
+headed by the function it times, and only ``paint_runs`` builds a bitmap:
+a bitmap kernel (``pairwise_bitmap``, ``ellipsoid_bitmap``) costs about
+``form_runs`` plus ``paint_runs``, and ``connectivity_counts`` of a bitmap
+costs ``mask_runs`` plus ``run_counts``.  Times are the best of
+``--repeat`` runs.
 
 The stage table splits one-line ``verify_c_convexity`` calls (512 px with
 the 2x stability raster, as the ``slice-rasters`` benchmark workload runs
 them) into the boundary arcs (``slice_topology``, the verdict), the raster
-(the bare 512 px one, and the 1024 px one on a line where it disagrees
-with the arcs) and the component counts, averaged over ``--lines`` seeds
+runs (``rasterize_line``: the bare 512 px one, and the 1024 px one on a
+line where it disagrees with the arcs; no bitmap) and the component
+counts of the runs (``run_counts``), averaged over ``--lines`` seeds
 per domain.
 
     python3 benchmarks/bench_kernels.py [--resolutions 512,1024] [--repeat 5] [--lines 10]
@@ -52,8 +57,8 @@ def _kernel_args(tube, anchor, direction, resolution):
 
 
 def kernel_table(resolutions, repeat):
-    print(f"{'case':<24} {'res':>5} {'runs ms':>8} {'paint ms':>8} {'counts ms':>9} "
-          f"{'filled':>7}")
+    print(f"{'case':<24} {'res':>5} {'form_runs ms':>12} {'paint_runs ms':>13} "
+          f"{'run_counts ms':>13} {'filled':>7}")
     for name, label in CASES:
         tube = Tube(catalog.by_name(name))
         rng = np.random.default_rng(np.random.SeedSequence([0]))
@@ -63,14 +68,14 @@ def kernel_table(resolutions, repeat):
             t_runs, runs = _best(_kernels.form_runs, args, repeat)
             t_paint, bitmap = _best(_kernels.paint_runs, (*runs, (res, res)), repeat)
             t_counts, _ = _best(verify.run_counts, (*runs, res + 1), repeat)
-            print(f"{name + ' (' + label + ')':<24} {res:>5} {t_runs * 1e3:>8.2f} "
-                  f"{t_paint * 1e3:>8.2f} {t_counts * 1e3:>9.2f} {bitmap.mean():>7.1%}")
+            print(f"{name + ' (' + label + ')':<24} {res:>5} {t_runs * 1e3:>12.2f} "
+                  f"{t_paint * 1e3:>13.2f} {t_counts * 1e3:>13.2f} {bitmap.mean():>7.1%}")
 
 
 def stage_table(lines, resolution=512, stability=2):
     totals = {}
     spent = defaultdict(float)
-    stages = ("arcs", "raster", "counts")
+    stages = ("arcs", "raster runs", "run_counts")
     patched = [(module, attr, getattr(module, attr)) for module, attr in
                ((_kernels, "slice_topology"), (verify, "rasterize_line"),
                 (verify, "run_counts"))]
@@ -98,11 +103,11 @@ def stage_table(lines, resolution=512, stability=2):
     finally:
         for module, attr, func in patched:
             setattr(module, attr, func)
-    print(f"{'per line, ms':<12} " + " ".join(f"{s:>10}" for s in stages)
+    print(f"{'per line, ms':<12} " + " ".join(f"{s:>11}" for s in stages)
           + f" {'other':>8} {'total':>8}")
     for name, (wall, parts) in totals.items():
         other = wall - sum(parts.values())
-        print(f"{name:<12} " + " ".join(f"{parts.get(s, 0.0) / lines * 1e3:>10.2f}" for s in stages)
+        print(f"{name:<12} " + " ".join(f"{parts.get(s, 0.0) / lines * 1e3:>11.2f}" for s in stages)
               + f" {other / lines * 1e3:>8.2f} {wall / lines * 1e3:>8.2f}")
 
 

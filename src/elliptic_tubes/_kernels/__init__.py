@@ -43,8 +43,8 @@ Kernel contract
     chart-infinity value last).  A pixel with chart value
     ``zeta = head / last`` is inside the tube over the ellipsoid exactly
     when ``(Re zeta - c)^T S (Re zeta - c) + (Im zeta)^T S (Im zeta) < 1``;
-    pixels at chart infinity are outside.  A line that may reach chart
-    infinity at a pixel (`_infinity_block`) is decided by ``form_mask``.
+    pixels at chart infinity are outside (`_clear_chart_infinity` clears
+    them from the painted runs).
 """
 
 import numpy as np
@@ -207,16 +207,9 @@ def pairwise_bitmap(fam_a, fam_b, w_re, w_im):
 
 def ellipsoid_bitmap(center, shape, aff_a, aff_b, w_re, w_im):
     forms = ellipsoid_forms(center, shape, aff_a, aff_b)
-    last_a, last_b = np.complex128(aff_a[-1]), np.complex128(aff_b[-1])
-    block = _infinity_block(last_a, last_b, w_re, w_im)
-    if block is None:
-        return paint_runs(*form_runs(*forms, w_re, w_im), (len(w_im), len(w_re)))
-    mask = form_mask(*forms, w_re, w_im)
-    rows, cols = block
-    w = np.asarray(w_re, dtype=np.float64)[cols][None, :] \
-        + 1j * np.asarray(w_im, dtype=np.float64)[rows][:, None]
-    mask[np.ix_(rows, cols)] &= np.abs(last_a + w * last_b) > _INFINITY_TOL
-    return mask.view(np.uint8)
+    bitmap = paint_runs(*form_runs(*forms, w_re, w_im), (len(w_im), len(w_re)))
+    _clear_chart_infinity(bitmap, np.complex128(aff_a[-1]), np.complex128(aff_b[-1]), w_re, w_im)
+    return bitmap
 
 
 # arc ends within this share of the boundary's extent are one vertex, and a
@@ -383,26 +376,25 @@ def component_labels(count, first, second):
     return label
 
 
-def _infinity_block(last_a, last_b, w_re, w_im):
-    """``(rows, cols)``, the indices of a block of pixels holding every
-    pixel where ``last_a + w last_b`` may be zero to within
-    ``_INFINITY_TOL``, or None when no pixel can be.
+def _clear_chart_infinity(mask, last_a, last_b, w_re, w_im):
+    """Clear the pixels where ``last_a + w last_b`` is zero to within
+    ``_INFINITY_TOL``.
 
     For a positive shape the form is already >= 0 there in exact
-    arithmetic; clearing the block's pixels at chart infinity keeps them
-    outside whatever the rounding (or an indefinite shape).  The zero of
-    ``last`` is one point ``w0``, so the block holds the pixels within a
-    rounding-safe radius of it; with ``last_b = 0`` it is every pixel or
-    none.
+    arithmetic; the guard keeps such pixels outside whatever the rounding
+    (or an indefinite shape).  The zero of ``last`` is one point ``w0``, so
+    only pixels within a rounding-safe radius of it are evaluated.
     """
-    x = np.asarray(w_re, dtype=np.float64)
-    y = np.asarray(w_im, dtype=np.float64)
     if last_b == 0:
-        if abs(last_a) > _INFINITY_TOL:
-            return None
-        return np.arange(len(y)), np.arange(len(x))
+        if not abs(last_a) > _INFINITY_TOL:
+            mask[:] = False
+        return
     w0 = -last_a / last_b
     radius = 1e-6 * (1.0 + abs(w0))
+    x = np.asarray(w_re, dtype=np.float64)
+    y = np.asarray(w_im, dtype=np.float64)
     cols = np.flatnonzero(np.abs(x - w0.real) <= radius)
     rows = np.flatnonzero(np.abs(y - w0.imag) <= radius)
-    return (rows, cols) if len(rows) and len(cols) else None
+    if len(cols) and len(rows):
+        w = x[cols][None, :] + 1j * y[rows][:, None]
+        mask[np.ix_(rows, cols)] &= np.abs(last_a + w * last_b) > _INFINITY_TOL

@@ -104,8 +104,8 @@ class Tube:
         if parts is None:
             return False
         x, y, real_flag = parts
-        if real_flag:
-            return self.base.contains(x)
+        if real_flag:  # x is already checked finite: no second coercion
+            return bool(self.base.contains_rows(x[None])[0])
         speed, _, a, b, _ = self.base.ray_clips(x[None], y[None])
         on_slice, prod = _gauge_product(speed[0], a[0], b[0])
         return bool(on_slice and prod < 1.0)
@@ -201,7 +201,7 @@ class Tube:
         if parts is None:
             raise OutsideTubeError("point lies at chart infinity")
         x, y, real_flag = parts
-        if not self.base.contains(x):
+        if not self.base.contains_rows(x[None])[0]:
             raise NotInteriorError(_NOT_INTERIOR)
         if real_flag:
             return x, None

@@ -430,17 +430,20 @@ def test_a_column_term_that_is_not_unimodal_falls_back_to_the_mask(mask_calls):
     _assert_runs_of_mask(runs, mask)
 
 
-def test_an_ellipsoid_line_through_chart_infinity_falls_back_to_the_mask(mask_calls):
-    center, shape = catalog.ellipse().ellipsoid_data()
+def test_an_ellipsoid_line_through_chart_infinity_is_cleared_without_the_mask(mask_calls):
+    center = catalog.ellipse().ellipsoid_data()[0]
     w = np.linspace(-2.0, 2.0, 41)
-    # last = w: the centre pixel w = 0 may lie at chart infinity
+    # last = w: chart infinity is the centre pixel w = 0; with a negative
+    # definite shape every finite pixel passes and only the clearing keeps
+    # that one outside
     aff_a = np.array([0.3 + 0.1j, -0.2 + 0j, 0.0])
-    _kernels.ellipsoid_bitmap(center, shape, aff_a, np.array([0.0, 0.0, 1.0 + 0j]), w, w)
-    assert len(mask_calls) == 1
-    # last = 1 - w / 5: its zero w = 5 lies outside the window
-    aff_a[-1] = 1.0
-    _kernels.ellipsoid_bitmap(center, shape, aff_a, np.array([0.0, 0.0, -0.2 + 0j]), w, w)
-    assert len(mask_calls) == 1
+    got = _kernels.ellipsoid_bitmap(center, -np.eye(2), aff_a, np.array([0.0, 0.0, 1.0 + 0j]),
+                                    w, w)
+    assert got[20, 20] == 0 and got.sum() == got.size - 1
+    # last = 0 on the whole line: every pixel is at chart infinity
+    got = _kernels.ellipsoid_bitmap(center, -np.eye(2), aff_a, np.zeros(3, dtype=complex), w, w)
+    assert not got.any()
+    assert not mask_calls  # the run kernel decided every row
 
 
 @pytest.mark.parametrize("m", [1, 3])
