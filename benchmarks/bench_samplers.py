@@ -3,8 +3,13 @@
 For every catalog domain (or every entry of ``--domains``: catalog names or
 ``.dom`` files) it times ``Tube.sample_points``,
 ``Tube.sample_exterior`` and ``ConvexDomain.sample_interior`` (best of
-``--repeat`` runs) and reports the microseconds per accepted sample and the
-box acceptance rate, accepted samples over box draws evaluated.
+``--repeat`` runs) and reports the microseconds per accepted sample, the
+box acceptance rate, accepted samples over box draws used, and the
+``screened`` share: of the box draws evaluated (the rows that
+``ConvexDomain._screen`` saw), those that its screen left to the exact
+test (the rows passed on to ``Tube._parts`` by the tube samplers and to
+``ConvexDomain.contains_rows`` by ``sample_interior``).  It is counted on
+one more, untimed run.
 
 The draw count is recovered from the generator stream: every sampler maps
 consecutive ``rng.random`` rows to its box (``lo + (hi - lo) u``, as
@@ -58,15 +63,47 @@ def _domain(entry):
 
 
 def _samplers(domain):
-    """(label, run(rng, count), box lo, box hi, flat(sample) -> box row)."""
+    """(label, run(rng, count), box lo, box hi, flat(sample) -> box row,
+    name of the exact test's entry)."""
     tube = Tube(domain)
     split = lambda z: np.concatenate([z.real, z.imag])  # noqa: E731
     lo, hi = domain.bbox
     return (
-        ("sample_points", tube.sample_points, *_tube_box(tube), split),
-        ("sample_exterior", tube.sample_exterior, *_tube_box(tube, 1.0), split),
-        ("sample_interior", domain.sample_interior, lo, hi, lambda x: x),
+        ("sample_points", tube.sample_points, *_tube_box(tube), split, "_parts"),
+        ("sample_exterior", tube.sample_exterior, *_tube_box(tube, 1.0), split, "_parts"),
+        ("sample_interior", domain.sample_interior, lo, hi, lambda x: x, "contains_rows"),
     )
+
+
+def _screened(run, exact, seed, count):
+    """(rows the screen saw, rows passed to the exact test ``exact``) in
+    one run of the bound sampler ``run``, counted through instance
+    attributes that shadow the methods and are removed afterwards."""
+    owner = run.__self__
+    domain = getattr(owner, "base", owner)
+    make_screen, method = domain._screen, getattr(owner, exact)
+    seen = [0, 0]
+
+    def screen(rows, lo, hi):
+        inner, slack = make_screen(rows, lo, hi)
+
+        def counted(x):
+            seen[0] += len(x)
+            return inner(x)
+        return counted, slack
+
+    def decided(rows):
+        seen[1] += len(rows)
+        return method(rows)
+
+    domain._screen = screen
+    setattr(owner, exact, decided)
+    try:
+        run(np.random.default_rng(seed), count)
+    finally:
+        del domain._screen
+        delattr(owner, exact)
+    return seen
 
 
 def main():
@@ -78,12 +115,13 @@ def main():
                         help="comma-separated catalog names or .dom paths")
     args = parser.parse_args()
 
-    header = f"{'domain':<10} {'sampler':<16} {'us/sample':>10} {'acceptance':>11} {'draws':>9}"
+    header = (f"{'domain':<10} {'sampler':<16} {'us/sample':>10} {'acceptance':>11} "
+              f"{'screened':>9} {'draws':>9}")
     print(header)
     print("-" * len(header))
     for entry in args.domains.split(","):
         name, domain = _domain(entry)
-        for label, run, lo, hi, flat in _samplers(domain):
+        for label, run, lo, hi, flat, exact in _samplers(domain):
             best = np.inf
             for _ in range(args.repeat):
                 rng = np.random.default_rng(args.seed)
@@ -91,8 +129,9 @@ def main():
                 out = run(rng, args.count)
                 best = min(best, time.perf_counter() - start)
             draws = _draws_used(args.seed, lo, hi, flat(out[-1]))
+            seen, exact_rows = _screened(run, exact, args.seed, args.count)
             print(f"{name:<10} {label:<16} {best / args.count * 1e6:>10.1f} "
-                  f"{args.count / draws:>11.4f} {draws:>9}")
+                  f"{args.count / draws:>11.4f} {exact_rows / seen:>9.4f} {draws:>9}")
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ _DEGENERATE_CLIP = 1e-10
 # of batched draws), and the most draws evaluated in one block
 _DRAW_BUDGET = 1 << 26
 _BLOCK_ROWS = 2048
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _quadratic(vecs, shape, others):
@@ -70,6 +71,13 @@ def box_rejection(rng, count, lo, hi, accept, label):
     exactly the rows used.  The block size follows the acceptance rate seen
     so far.  Raises :class:`DrawBudgetError`, naming the sampler ``label``,
     after ``_DRAW_BUDGET`` draws.
+
+    The samplers' predicates screen each block first
+    (:meth:`ConvexDomain._screen`): one BLAS product of the base's rows with
+    the block's real parts, within a rounding bound of the exact row
+    functionals, settles the draws that it puts certainly on one side of
+    the test.  Only the others reach the exact test, so a predicate's
+    answers are those of the exact test alone.
     """
     lo = np.asarray(lo, dtype=np.float64)
     width = np.asarray(hi, dtype=np.float64) - lo
@@ -344,6 +352,42 @@ class ConvexDomain:
         d = points - self._center
         q = _quadratic(d, self._shape, d)
         return (1.0 - np.sqrt(np.maximum(q, 0.0))) * self._a_min
+
+    def _screen(self, rows, lo, hi):
+        """``(screen, slack)``: a cheap stand-in for the exact row test on
+        ``rows`` over draws from the box [lo, hi], ``rows`` being
+        ``_bound_rows`` to screen :meth:`margin_rows` and ``_rows`` to
+        screen :meth:`contains_rows`.  ``screen(x)`` is ``min_i R_i . (x,
+        1)`` for every row of a (B, n) array x, from one BLAS product ``R[:,
+        :-1] @ x.T + R[:, -1:]`` reduced over axis 0; it is within ``slack``
+        of the same minimum of the exact ``_rowdot(R, (x, 1))``.  So a
+        screen value below ``t - slack`` puts the exact one below t.
+
+        Bound: both routes form ``R_i . (x, 1)`` as an inner product of
+        length n + 1 whose last term ``R_in * 1`` is exact.  In any order of
+        summation, fused or not, each term meets at most n + 1 roundings, so
+        each route lies within ``gamma_{n+1} sum_j |R_ij| |x_j|`` of the true
+        value (``gamma_k = k u / (1 - k u)``, u the unit roundoff), and the
+        two minima within twice that.  With ``|x_j| <= M_j = max(|lo_j|,
+        |hi_j|)`` and ``M_{n+1} = 1`` this is at most ``2 gamma_{n+1} max_i
+        sum_j |R_ij| M_j``.  The slack takes ``(n + 2) u`` for
+        ``gamma_{n+1}``: the excess covers the rounding of the bound itself
+        and a draw ``lo + (hi - lo) U`` that rounds an ulp past M_j.  A
+        product that underflows loses at most half the least subnormal, and
+        subnormal sums are exact, so the two routes add at most ``(n + 1)
+        2^-1074``.
+
+        An ellipsoid (``rows`` None) screens with its exact
+        :meth:`margin_rows` and slack 0: the sign of the margin, where it is
+        not 0, is that of :meth:`contains_rows` as well.
+        """
+        if rows is None:
+            return self.margin_rows, 0.0
+        bound = [max(abs(a), abs(b)) for a, b in zip(lo.tolist(), hi.tolist())] + [1.0]
+        worst = max(sum(abs(r) * m for r, m in zip(row, bound)) for row in rows.tolist())
+        slack = 2 * (self.n + 2) * _UNIT_ROUNDOFF * worst + (self.n + 1) * 2.0 ** -1074
+        normals, consts = rows[:, :-1], rows[:, -1:]
+        return (lambda x: np.min(normals @ x.T + consts, axis=0)), slack
 
     @property
     def bbox(self):
@@ -625,9 +669,21 @@ class ConvexDomain:
         Box rejection from :attr:`bbox`: the samples and the generator's
         final state are those of drawing ``rng.uniform(lo, hi)`` until
         ``count`` points passed :meth:`contains_rows` (see
-        :func:`box_rejection`)."""
+        :func:`box_rejection`).  :meth:`_screen` decides every draw whose
+        screen value lies farther than its slack from 0; only the others
+        reach that test."""
         lo, hi = self.bbox
-        return box_rejection(rng, count, lo, hi, self.contains_rows, "sample_interior")
+        screen, slack = self._screen(self._rows, lo, hi)
+
+        def accept(x):
+            value = screen(x)
+            keep = value > slack
+            near = np.abs(value) <= slack
+            if near.any():
+                keep[near] = self.contains_rows(x[near])
+            return keep
+
+        return box_rejection(rng, count, lo, hi, accept, "sample_interior")
 
     def validate(self):
         """Structural checks; returns a report rather than raising."""

@@ -297,12 +297,15 @@ class Tube:
         if parts is None:
             return EXTERIOR
         x, y, real_flag = parts
-        return _KINDS[self._classify_rows(x[None], y[None], np.array([real_flag]), band)[0]]
+        x, y = x[None], y[None]
+        kinds = self._classify_rows(x, y, np.array([real_flag]), self.base.margin_rows(x), band)
+        return _KINDS[kinds[0]]
 
-    def _classify_rows(self, x, y, real, band):
+    def _classify_rows(self, x, y, real, m, band):
         """:meth:`boundary_classify` of the points x + iy, rows of (B, n)
-        arrays, whose reality flags are ``real``; indices into ``_KINDS``."""
-        m = self.base.margin_rows(x)
+        arrays, whose reality flags are ``real`` and whose real parts have
+        the base margins ``m`` (:meth:`ConvexDomain.margin_rows`); indices
+        into ``_KINDS``."""
         inside = m > 0.0
         kinds = np.where(inside, _INTERIOR, _EXTERIOR)
         kinds[real & (np.abs(m) < band)] = _REAL_BOUNDARY
@@ -405,31 +408,45 @@ class Tube:
         is ``rng.uniform(lo, hi)`` for the real part followed by
         ``rng.uniform(-im_half, im_half)`` for the imaginary part, and the
         samples and the generator's final state are those of drawing one
-        point at a time (see :func:`box_rejection`)."""
+        point at a time (see :func:`box_rejection`).  A draw whose real part
+        the base's :meth:`~ConvexDomain._screen` puts below the band, within
+        its rounding bound, is rejected unseen; only the others reach the
+        exact margin and the line clip."""
+        lo, hi = self._draw_box(*self.bounding_box())
+        screen, slack = self.base._screen(self.base._bound_rows, lo[:self.n], hi[:self.n])
 
         def accept(draws):
-            x, y, real = self._parts(draws)
-            # only draws whose real part lies in D reach the line clip
-            keep = self.base.margin_rows(x) >= band
-            keep[keep] = self._classify_rows(x[keep], y[keep], real[keep], band) == _INTERIOR
+            keep = screen(draws[:, :self.n]) >= band - slack
+            x, y, real = self._parts(draws[keep])
+            m = self.base.margin_rows(x)
+            sub = m >= band
+            sub[sub] = self._classify_rows(x[sub], y[sub], real[sub], m[sub], band) == _INTERIOR
+            keep[keep] = sub
             return keep
 
-        lo, hi = self._draw_box(*self.bounding_box())
         return self._points(box_rejection(rng, count, lo, hi, accept, "sample_points"))
 
     def sample_exterior(self, rng, count, band=1e-6, spread=1.0):
         """Exterior samples from the bounding box inflated by ``1 + spread``,
         excluding the boundary band (``boundary_classify`` gives Exterior);
-        drawn like :meth:`sample_points`."""
-
-        def accept(draws):
-            x, y, real = self._parts(draws)
-            return self._classify_rows(x, y, real, band) == _EXTERIOR
-
+        drawn like :meth:`sample_points`.  A draw whose real part the
+        base's :meth:`~ConvexDomain._screen` puts below ``-band`` is
+        Exterior for that test too and is kept unseen; only the others
+        reach it."""
         lo, hi, im_half = self.bounding_box()
         center = 0.5 * (lo + hi)
         lo = center + (1.0 + spread) * (lo - center)
         hi = center + (1.0 + spread) * (hi - center)
+        screen, slack = self.base._screen(self.base._bound_rows, lo, hi)
+
+        def accept(draws):
+            keep = screen(draws[:, :self.n]) < -band - slack
+            rest = ~keep
+            x, y, real = self._parts(draws[rest])
+            m = self.base.margin_rows(x)
+            keep[rest] = self._classify_rows(x, y, real, m, band) == _EXTERIOR
+            return keep
+
         lo, hi = self._draw_box(lo, hi, (1.0 + spread) * im_half)
         return self._points(box_rejection(rng, count, lo, hi, accept, "sample_exterior"))
 

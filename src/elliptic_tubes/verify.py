@@ -105,21 +105,22 @@ def rasterize_line(tube: Tube, anchor, direction, resolution=512, window=None,
         raise ZeroDirectionError("direction must be nonzero")
     if window is None:
         window = _auto_window(tube, anchor, direction)
+    return _raster(_line_forms(tube, anchor, direction, puncture), anchor, direction,
+                   resolution, window)
+
+
+def _raster(forms, anchor, direction, resolution, window):
+    """The :class:`SliceRaster` of the line ``anchor + w direction`` whose
+    membership forms are ``forms`` (:func:`_line_forms`), over the cell
+    centers of ``window`` at ``resolution`` px."""
     (re_lo, re_hi), (im_lo, im_hi) = window
     res = int(resolution)
     d_re = (re_hi - re_lo) / res
     d_im = (im_hi - im_lo) / res
     w_re = re_lo + (np.arange(res) + 0.5) * d_re
     w_im = im_lo + (np.arange(res) + 0.5) * d_im
-
-    return SliceRaster(
-        runs=_kernels.form_runs(*_line_forms(tube, anchor, direction, puncture), w_re, w_im),
-        w_re=w_re,
-        w_im=w_im,
-        anchor=anchor,
-        direction=direction,
-        window=window,
-    )
+    return SliceRaster(runs=_kernels.form_runs(*forms, w_re, w_im), w_re=w_re, w_im=w_im,
+                       anchor=anchor, direction=direction, window=window)
 
 
 def _puncture_form(anchor, direction, puncture):
@@ -314,9 +315,10 @@ def _check_line(tube: Tube, anchor, direction, resolution, stability_factor, pun
     """The slice-topology verdict of :func:`verify_c_convexity` on one
     complex line, from its boundary arcs: ``(violations, disagreed)``, where
     ``disagreed`` says that the raster over the arcs' box (`_raster_window`)
-    counted otherwise at ``resolution`` and at ``stability_factor`` times it."""
-    components, holes, bbox = _kernels.slice_topology(
-        *_line_forms(tube, anchor, direction, puncture))
+    counted otherwise at ``resolution`` and at ``stability_factor`` times it.
+    The line's forms are built once, for the arcs and every raster."""
+    forms = _line_forms(tube, anchor, direction, puncture)
+    components, holes, bbox = _kernels.slice_topology(*forms)
     if components == 0:
         return ["empty region"], False
     violations = []
@@ -329,8 +331,7 @@ def _check_line(tube: Tube, anchor, direction, resolution, stability_factor, pun
     if stability_factor and stability_factor > 1:
         passes += (resolution * stability_factor,)
     for res in passes:
-        raster = rasterize_line(tube, anchor, direction, resolution=res, window=window,
-                                puncture=puncture)
+        raster = _raster(forms, anchor, direction, res, window)
         if run_counts(*raster.runs, len(raster.w_re) + 1) == (components, holes + 1):
             return violations, False
     return violations, True

@@ -17,7 +17,7 @@ from elliptic_tubes import catalog, domains
 from elliptic_tubes.domains import ConvexDomain, VPolytope
 from elliptic_tubes.duality import dual_of
 from elliptic_tubes.errors import DrawBudgetError
-from elliptic_tubes.projective import HPoint
+from elliptic_tubes.projective import HPoint, _affine, _rowdot
 from elliptic_tubes.tube import COMPLEX_BOUNDARY, EXTERIOR, INTERIOR, REAL_BOUNDARY, Tube
 
 _REAL_BAND = 1e-12
@@ -184,11 +184,19 @@ def _simplex4():
     return ConvexDomain(rep, name="simplex4")
 
 
+def _far_triangle():
+    # a triangle translated to chart coordinates near 1e3
+    verts = [(1000.0, 1000.0), (1001.0, 1000.0), (1000.0, 1001.5)]
+    return ConvexDomain(VPolytope(tuple(HPoint(v + (1.0,)) for v in verts)), name="far")
+
+
 def _domain(label):
     if label == "cube3":
         return _cube3()
     if label == "simplex4":
         return _simplex4()
+    if label == "far":
+        return _far_triangle()
     if label.endswith("*"):
         return dual_of(catalog.by_name(label[:-1])).domain
     return catalog.by_name(label)
@@ -235,6 +243,21 @@ def test_sample_interior_matches_scalar_loop(label):
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_samplers_match_scalar_loop_on_simplex4(seed):
+    # acceptance 2.7e-4: thousands of draws per sample reach the screen.
+    # One sample_points sample, since the scalar reference clips every draw
+    # (about 0.1 s a sample here)
+    domain = _simplex4()
+    tube = Tube(domain)
+    count = 1 + seed % 2
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _same(tube.sample_points(rng, 1), _ref_sample_points(tube, ref, 1))
+    assert _same(tube.sample_exterior(rng, count), _ref_sample_exterior(tube, ref, count))
+    assert _same(domain.sample_interior(rng, count), _ref_sample_interior(domain, ref, count))
+    assert rng.random() == ref.random()
+
+
 def test_samplers_match_across_block_boundaries(monkeypatch):
     # tiny blocks: acceptances straddle many blocks and the rewind runs often
     monkeypatch.setattr(domains, "_BLOCK_ROWS", 5)
@@ -244,6 +267,85 @@ def test_samplers_match_across_block_boundaries(monkeypatch):
     assert _same(tube.sample_points(rng, 12), _ref_sample_points(tube, ref, 12))
     assert _same(triangle.sample_interior(rng, 40), _ref_sample_interior(triangle, ref, 40))
     assert rng.random() == ref.random()
+
+
+def test_samplers_match_across_block_boundaries_on_cube3(monkeypatch):
+    monkeypatch.setattr(domains, "_BLOCK_ROWS", 7)
+    cube = _cube3()
+    tube = Tube(cube)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    assert _same(tube.sample_points(rng, 9), _ref_sample_points(tube, ref, 9))
+    assert _same(tube.sample_exterior(rng, 9), _ref_sample_exterior(tube, ref, 9))
+    assert _same(cube.sample_interior(rng, 9), _ref_sample_interior(cube, ref, 9))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("label", ["triangle", "disk", "cube3"])
+def test_samplers_match_with_every_draw_decided_exactly(label, monkeypatch):
+    # an infinite slack screens nothing out and decides nothing: every draw
+    # takes the exact path, and the samples stay those of the scalar loop
+    screen = ConvexDomain._screen
+    monkeypatch.setattr(ConvexDomain, "_screen",
+                        lambda self, rows, lo, hi: (screen(self, rows, lo, hi)[0], np.inf))
+    domain = _domain(label)
+    tube = Tube(domain)
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    assert _same(tube.sample_points(rng, 5), _ref_sample_points(tube, ref, 5))
+    assert _same(tube.sample_exterior(rng, 5), _ref_sample_exterior(tube, ref, 5))
+    assert _same(domain.sample_interior(rng, 5), _ref_sample_interior(domain, ref, 5))
+    assert rng.random() == ref.random()
+
+
+# ---------- the screen -----------------------------------------------------------------
+
+
+def _screen_probes(domain, rng):
+    """Chart points where the screen and the exact rows round most apart:
+    the vertices, points placed on every facet hyperplane, the points
+    within 4 ulps of those in every coordinate, and random box draws."""
+    lo, hi = domain.bbox
+    inner = lo + (hi - lo) * rng.random((40, domain.n))
+    rows = domain._bound_rows
+    on = [inner - _rowdot(rows[k:k + 1], _affine(inner)) * rows[k, :-1] for k in range(len(rows))]
+    placed = np.vstack([domain.vertices_chart()] + on)
+    probes = [inner, placed]
+    for direction in (np.inf, -np.inf):
+        moved = placed
+        for _ in range(4):
+            moved = np.nextafter(moved, direction)
+            probes.append(moved)
+    return np.vstack(probes)
+
+
+SCREEN_LABELS = [label for label in LABELS + ["simplex4", "far"]
+                 if _domain(label)._rows is not None]
+
+
+@pytest.mark.parametrize("label", SCREEN_LABELS)
+def test_screen_is_within_its_slack_of_the_exact_rows(label):
+    domain = _domain(label)
+    probes = _screen_probes(domain, np.random.default_rng(7))
+    # the box the slack is taken over must hold the points
+    lo, hi = probes.min(axis=0), probes.max(axis=0)
+    for rows in (domain._bound_rows, domain._rows):
+        exact = _rowdot(rows, _affine(probes))
+        screen, slack = domain._screen(rows, lo, hi)
+        assert np.all(np.abs(screen(probes) - exact.min(axis=1)) <= slack)
+        # and for each functional alone, with its own slack
+        for k in range(len(rows)):
+            screen, slack = domain._screen(rows[k:k + 1], lo, hi)
+            assert 0.0 < slack < 1e-11
+            assert np.all(np.abs(screen(probes) - exact[:, k]) <= slack)
+
+
+@pytest.mark.parametrize("label", ["disk", "ellipse*"])
+def test_an_ellipsoid_screens_with_its_exact_margin(label):
+    domain = _domain(label)
+    lo, hi = domain.bbox
+    points = lo + (hi - lo) * np.random.default_rng(8).random((50, domain.n))
+    screen, slack = domain._screen(domain._bound_rows, lo, hi)
+    assert slack == 0.0
+    assert _same(screen(points), domain.margin_rows(points))
 
 
 @pytest.mark.parametrize("label", ["square", "triangle*", "ellipse", "halfline"])
