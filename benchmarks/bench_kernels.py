@@ -17,10 +17,11 @@ costs ``mask_runs`` plus ``run_counts``.  Times are the best of
 The stage table splits one-line ``verify_c_convexity`` calls (512 px with
 the 2x stability raster, as the ``slice-rasters`` benchmark workload runs
 them) into the boundary arcs (``slice_topology``, the verdict), the raster
-runs (``rasterize_line``: the bare 512 px one, and the 1024 px one on a
-line where it disagrees with the arcs; no bitmap) and the component
-counts of the runs (``run_counts``), averaged over ``--lines`` seeds
-per domain.
+runs (``verify._raster``, which ``rasterize_line`` calls as well: the bare
+512 px one, and the 1024 px one on a line where it disagrees with the
+arcs; no bitmap) and the component counts of the runs (``run_counts``),
+averaged over ``--lines`` seeds per domain.  The line's forms, built once
+for the arcs and the rasters, fall under "other".
 
     python3 benchmarks/bench_kernels.py [--resolutions 512,1024] [--repeat 5] [--lines 10]
 """
@@ -77,7 +78,7 @@ def stage_table(lines, resolution=512, stability=2):
     spent = defaultdict(float)
     stages = ("arcs", "raster runs", "run_counts")
     patched = [(module, attr, getattr(module, attr)) for module, attr in
-               ((_kernels, "slice_topology"), (verify, "rasterize_line"),
+               ((_kernels, "slice_topology"), (verify, "_raster"),
                 (verify, "run_counts"))]
 
     def timed(func, stage):

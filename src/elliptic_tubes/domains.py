@@ -89,7 +89,10 @@ def box_rejection(rng, count, lo, hi, accept, label):
             raise DrawBudgetError(label, got, count, drawn)
         rows = min(rows, _DRAW_BUDGET - drawn)
         state = rng.bit_generator.state
-        block = lo + width * rng.random((rows, len(lo)))
+        # lo + width * u, rounded as Generator.uniform rounds it, in place
+        block = rng.random((rows, len(lo)))
+        block *= width
+        block += lo
         keep = np.flatnonzero(accept(block))[: count - got]
         if got + len(keep) == count and keep[-1] + 1 < rows:
             rows = int(keep[-1]) + 1
