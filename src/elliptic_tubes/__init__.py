@@ -29,16 +29,13 @@ from .diskgeom import (
     geodesic_foot,
     poincare_distance,
 )
-from .domains import ConvexDomain, Ellipsoid, HDomain, SliceDisk, VPolytope, contains_barycentric
+from .domains import ConvexDomain, Ellipsoid, HDomain, SliceDisk, VPolytope
 from .domspec import DomainSpec, format_domain_text, load_domain, parse_domain_text, save_domain
 from .duality import (
     DualDomain,
     annihilator,
     closed_dual_membership,
     dual_chart,
-    dual_complement,
-    dual_complement_ellipsoid,
-    dual_complement_h,
     dual_of,
     dual_tube,
     tangent_set_sample,

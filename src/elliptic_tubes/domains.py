@@ -5,10 +5,14 @@ representation is reduced to chart data with the chart lift ``(x, 1)``:
 
 * V-polytope: vertex chart coordinates plus derived facet rows,
 * H-domain: functional rows ``g`` with ``g . (x, 1) > 0`` on the domain,
+  plus derived vertices,
 * ellipsoid: ``(x - c)^T S (x - c) < 1`` with S symmetric positive definite.
 
-Facet and functional rows are sign normalized to be positive at the
-reference point and scaled to unit Euclidean norm.
+A polytope, in either form, carries both lists, each found once when it is
+built by one qhull call on its own input.  Facet and functional rows are
+sign normalized to be positive at the reference point and scaled to unit
+Euclidean norm; an H-domain keeps only the rows that support a facet, in
+their input order.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ _DEGENERATE_CLIP = 1e-10
 _DRAW_BUDGET = 1 << 26
 _BLOCK_ROWS = 2048
 _UNIT_ROUNDOFF = 2.0 ** -53
+_UNBOUNDED = "H-domain is unbounded or has empty interior in its chart"
 
 
 def _quadratic(vecs, shape, others):
@@ -226,6 +231,46 @@ def _facet_rows(verts):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def _h_polytope(rows, reference):
+    """``(vertices, keep)`` of the H-domain cut out by unit rows that are
+    positive at ``reference``: its vertices in chart coordinates, and the
+    sorted indices of the rows that support a facet.
+
+    For n >= 2 both come from one qhull ``HalfspaceIntersection``: its
+    intersections (with duplicates collapsed) and its dual vertices.  A row
+    with no chart normal supports no facet.  Raises :class:`ValidationError`
+    when the domain is not bounded in its chart.
+    """
+    normals = np.linalg.norm(rows[:, :-1], axis=1)
+    live = np.flatnonzero(normals > 1e-12)
+    if len(live) <= len(reference):  # a bounded domain has at least n + 1 facets
+        raise ValidationError(_UNBOUNDED)
+    # each row rescaled so the slack equals the Euclidean distance to its hyperplane
+    bound = rows[live] / normals[live, None]
+    if len(reference) == 1:
+        ends = -bound[:, 1] / bound[:, 0]
+        ups, downs = np.flatnonzero(bound[:, 0] > 0), np.flatnonzero(bound[:, 0] < 0)
+        if len(ups) == 0 or len(downs) == 0:
+            raise ValidationError(_UNBOUNDED)
+        lo, hi = ups[np.argmax(ends[ups])], downs[np.argmin(ends[downs])]
+        return np.array([[ends[lo]], [ends[hi]]]), np.sort(live[[lo, hi]])
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inter = HalfspaceIntersection(-bound, reference.copy())  # A x + b <= 0 convention
+    except QhullError:
+        raise ValidationError(_UNBOUNDED) from None
+    # bounded exactly when the reference lies strictly inside the dual hull
+    if not np.all(inter.dual_equations[:, -1] < 0.0):
+        raise ValidationError(_UNBOUNDED)
+    uniq = []
+    for p in inter.intersections:
+        if not any(np.linalg.norm(p - q) < 1e-9 for q in uniq):
+            uniq.append(p)
+    return np.vstack(uniq), np.sort(live[inter.dual_vertices])
+
+
 def _distinct_rows(rows):
     """The unit rows with each facet once: a row within 1e-12 of an earlier
     row is dropped, and the first stays in its place.  qhull splits a facet
@@ -298,14 +343,14 @@ class ConvexDomain:
             if np.any(np.abs(signs) < 1e-12):
                 raise ValidationError("reference point lies on a functional kernel")
             rows = rows * np.sign(signs)[:, None]
-            self._rows = _distinct_rows(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+            rows = _distinct_rows(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+            self._verts, keep = _h_polytope(rows, self.reference)
+            self._rows = rows[keep]
 
-        # rows that actually bound (nonzero chart-normal part), rescaled so
-        # the slack equals the Euclidean distance to the hyperplane
+        # the facet rows rescaled so the slack equals the Euclidean distance
+        # to the hyperplane
         if self._rows is not None:
-            normals = np.linalg.norm(self._rows[:, :-1], axis=1)
-            keep = normals > 1e-12
-            self._bound_rows = self._rows[keep] / normals[keep][:, None]
+            self._bound_rows = self._rows / np.linalg.norm(self._rows[:, :-1], axis=1, keepdims=True)
         else:
             self._bound_rows = None
         self._bbox = None
@@ -402,48 +447,15 @@ class ConvexDomain:
     def _compute_bbox(self):
         if self._verts is not None:
             return self._verts.min(axis=0), self._verts.max(axis=0)
-        if self._center is not None:
-            # a non-SPD shape (caught by validate) would give negative radii
-            half = np.sqrt(np.maximum(np.diag(np.linalg.inv(self._shape)), 0.0))
-            return self._center - half, self._center + half
-        verts = self.vertices_chart()
-        return verts.min(axis=0), verts.max(axis=0)
+        # a non-SPD shape (caught by validate) would give negative radii
+        half = np.sqrt(np.maximum(np.diag(np.linalg.inv(self._shape)), 0.0))
+        return self._center - half, self._center + half
 
     def vertices_chart(self):
         """Extreme points in chart coordinates (row representations only)."""
-        if self._verts is not None:
-            return self._verts.copy()
-        if self._rows is None:
+        if self._verts is None:
             raise DegenerateError("an ellipsoid has no vertex set")
-        rows = self._bound_rows
-        if self.n == 1:
-            slopes = rows[:, 0]
-            consts = rows[:, 1]
-            ups = -consts[slopes > 0] / slopes[slopes > 0]
-            downs = -consts[slopes < 0] / slopes[slopes < 0]
-            if len(ups) == 0 or len(downs) == 0:
-                raise ValidationError("H-domain is unbounded in its chart")
-            lo, hi = float(ups.max()), float(downs.min())
-            if not lo < hi:
-                raise ValidationError("H-domain has empty interior")
-            return np.array([[lo], [hi]])
-        from scipy.spatial import HalfspaceIntersection
-
-        halfspaces = -rows  # A x + b <= 0 convention
-        try:
-            inter = HalfspaceIntersection(halfspaces, self.reference.copy())
-        except Exception as exc:  # qhull reports unbounded/infeasible input
-            raise ValidationError(f"H-domain vertex enumeration failed: {exc}")
-        pts = inter.intersections
-        pts = pts[np.all(np.isfinite(pts), axis=1)]
-        if len(pts) == 0:
-            raise ValidationError("H-domain is unbounded in its chart")
-        # collapse duplicates
-        uniq = []
-        for p in pts:
-            if not any(np.linalg.norm(p - q) < 1e-9 for q in uniq):
-                uniq.append(p)
-        return np.vstack(uniq)
+        return self._verts.copy()
 
     def rows(self):
         """Unit functional/facet rows, positive on the domain."""
@@ -726,36 +738,3 @@ class ConvexDomain:
         label = self.name or type(self.rep).__name__
         return f"ConvexDomain({label}, n={self.n})"
 
-
-def contains_barycentric(domain, x, tol=1e-12):
-    """Strict hull membership through a strictly positive barycentric
-    representation (linear program).  V-polytopes only; used as an
-    independent route against the facet test."""
-    from scipy.optimize import linprog
-
-    if not isinstance(domain.rep, VPolytope):
-        raise DegenerateError("barycentric membership needs a V-polytope")
-    verts = domain._verts
-    x = np.real(domain.chart_point(x))
-    m = len(verts)
-    # variables: lambda_1..m, t ; maximize t
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((domain.n + 1, m + 1))
-    a_eq[: domain.n, :m] = verts.T
-    a_eq[domain.n, :m] = 1.0
-    b_eq = np.append(x, 1.0)
-    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-    b_ub = np.zeros(m)
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * m + [(None, 1.0)],
-        method="highs",
-    )
-    if not res.success:
-        return False
-    return bool(-res.fun > tol)

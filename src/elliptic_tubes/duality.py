@@ -2,10 +2,13 @@
 
 The dual complement of a set E consists of the hyperplanes missing E.  For
 a properly convex domain it is again properly convex, bounded in the chart
-whose hyperplane at infinity is the evaluation at the reference point, and
-swapping vertices and functionals realizes it concretely for polytopes.
-Tube membership dualizes as well: a point outside the tube is annihilated
-by an explicit member of the dual tube (the constructive separator).
+whose hyperplane at infinity is the evaluation at the reference point.  A
+polytope carries its vertices and its facet rows from construction, and its
+dual swaps them: the dual of a V-polytope is the H-domain of its vertex
+lifts, the dual of an H-domain the V-polytope of its facet rows.  An
+ellipsoid's dual is the ellipsoid of the polar quadric.  Tube membership
+dualizes as well: a point outside the tube is annihilated by an explicit
+member of the dual tube (the constructive separator).
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import ConvexDomain, Ellipsoid, HDomain, VPolytope
-from .errors import (
-    DegenerateError,
-    InsideTubeError,
-    NotBoundaryError,
-    RepresentationError,
-)
+from .errors import DegenerateError, InsideTubeError, NotBoundaryError, RepresentationError
 from .projective import Chart, Functional, HPoint, _rowdot, normalize_lifts, row_norms
 from .tube import COMPLEX_BOUNDARY, REAL_BOUNDARY, Tube, pair_gram, pair_gram_rows
 
@@ -51,14 +49,6 @@ class DualDomain:
     primal: ConvexDomain
 
 
-def _dual_domain(domain: ConvexDomain, chart: Chart, rep) -> DualDomain:
-    """The dual complement ``rep`` in the dual chart, with its reference
-    point the primal chart's hyperplane at infinity."""
-    reference = chart.to_chart(HPoint(domain.chart.matrix[-1]))
-    dual = ConvexDomain(rep, chart=chart, reference_point=reference)
-    return DualDomain(domain=dual, primal=domain)
-
-
 def _dual_point(chart: Chart, xi):
     """A functional's dual-chart coordinates, or None within ``1e-12 |xi|``
     of the dual chart's hyperplane at infinity."""
@@ -79,44 +69,9 @@ def _dual_defects(dual_t: Tube, xis):
     return finite, defect
 
 
-def dual_complement(domain: ConvexDomain) -> DualDomain:
-    """Dual complement of a V-polytope: the H-domain in the dual space whose
-    functionals are the vertex lifts (chart-infinity component one)."""
-    if not isinstance(domain.rep, VPolytope):
-        raise RepresentationError("dual_complement expects a V-polytope")
-    rep = HDomain(tuple(Functional(domain.chart.lift(v)) for v in domain._verts))
-    return _dual_domain(domain, dual_chart(domain), rep)
-
-
-def dual_complement_h(domain: ConvexDomain) -> DualDomain:
-    """Dual complement of an H-domain: the V-polytope in the dual space
-    spanned by the functionals.  Its vertices are the functionals that
-    support the domain, the extreme points of their hull in the dual chart;
-    they keep their order in the domain's rows."""
-    if not isinstance(domain.rep, HDomain):
-        raise RepresentationError("dual_complement_h expects an H-domain")
-    chart = dual_chart(domain)
-    points = [HPoint(domain.chart.matrix.T @ g) for g in domain.rows()]
-    coords = np.vstack([chart.to_chart(p) for p in points])
-    if domain.n == 1:
-        keep = np.unique([coords.argmin(), coords.argmax()])
-    else:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            keep = np.sort(ConvexHull(coords).vertices)
-        except QhullError:
-            keep = ()
-    if len(keep) < domain.n + 1:
-        raise DegenerateError("too few supporting functionals")
-    return _dual_domain(domain, chart, VPolytope(tuple(points[k] for k in keep)))
-
-
-def dual_complement_ellipsoid(domain: ConvexDomain) -> DualDomain:
+def _dual_ellipsoid(domain: ConvexDomain) -> DualDomain:
     """Dual complement of an ellipsoid through polarity of its boundary
     quadric: again an ellipsoid, in the dual chart."""
-    if not isinstance(domain.rep, Ellipsoid):
-        raise RepresentationError("dual_complement_ellipsoid expects an ellipsoid")
     n = domain.n
     nmat = np.linalg.inv(domain.quadric())
     chart = dual_chart(domain)
@@ -137,12 +92,23 @@ def dual_complement_ellipsoid(domain: ConvexDomain) -> DualDomain:
 
 
 def dual_of(domain: ConvexDomain) -> DualDomain:
-    """Dual complement for any supported representation."""
+    """Dual complement of a domain, in its :func:`dual_chart`.
+
+    A polytope's dual swaps its two lists: a V-polytope's is the H-domain
+    whose functionals are its vertex lifts (chart-infinity component one),
+    an H-domain's the V-polytope whose vertices are its facet rows, in their
+    order.  Its reference point is the primal chart's hyperplane at
+    infinity.  An ellipsoid's dual is the polar ellipsoid."""
+    if isinstance(domain.rep, Ellipsoid):
+        return _dual_ellipsoid(domain)
+    chart = dual_chart(domain)
     if isinstance(domain.rep, VPolytope):
-        return dual_complement(domain)
-    if isinstance(domain.rep, HDomain):
-        return dual_complement_h(domain)
-    return dual_complement_ellipsoid(domain)
+        rep = HDomain(tuple(Functional(domain.chart.lift(v)) for v in domain.vertices_chart()))
+    else:
+        rep = VPolytope(tuple(HPoint(domain.chart.matrix.T @ g) for g in domain.rows()))
+    reference = chart.to_chart(HPoint(domain.chart.matrix[-1]))
+    dual = ConvexDomain(rep, chart=chart, reference_point=reference)
+    return DualDomain(domain=dual, primal=domain)
 
 
 def dual_tube(domain: ConvexDomain):

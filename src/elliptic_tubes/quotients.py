@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ConvexDomain, Ellipsoid, HDomain, VPolytope
+from .domains import ConvexDomain, Ellipsoid
 from .errors import (
     DegenerateError,
     GroupValidationError,
@@ -34,27 +34,20 @@ def _as_map(g) -> ProjectiveMap:
 
 
 def _preserves(domain: ConvexDomain, gmap: ProjectiveMap, tol=_PROJ_TOL) -> bool:
-    """Whether a projective map sends the domain onto itself."""
+    """Whether a projective map sends the domain onto itself: a polytope's
+    vertex lifts onto themselves as a set, an ellipsoid's boundary quadric
+    onto a positive multiple of itself."""
     amat = gmap.matrix
-    rep = domain.rep
-    if isinstance(rep, VPolytope):
-        images = [amat @ v.coords for v in rep.vertices]
-        targets = [v.coords for v in rep.vertices]
-        return _matches_setwise(images, targets, tol)
-    if isinstance(rep, HDomain):
-        inv_t = np.linalg.inv(amat).T
-        images = [inv_t @ f.coeffs for f in rep.functionals]
-        targets = [f.coeffs for f in rep.functionals]
-        return _matches_setwise(images, targets, tol)
-    if isinstance(rep, Ellipsoid):
-        q_orig = domain.quadric()
-        inv = np.linalg.inv(amat)
-        pulled = inv.T @ q_orig @ inv
-        scale = np.trace(pulled @ q_orig) / np.trace(q_orig @ q_orig)
-        if scale <= 0:
-            return False
-        return np.linalg.norm(pulled - scale * q_orig) <= tol * np.linalg.norm(q_orig) * abs(scale)
-    return False
+    if not isinstance(domain.rep, Ellipsoid):
+        targets = [domain.chart.lift(v) for v in domain.vertices_chart()]
+        return _matches_setwise([amat @ t for t in targets], targets, tol)
+    q_orig = domain.quadric()
+    inv = np.linalg.inv(amat)
+    pulled = inv.T @ q_orig @ inv
+    scale = np.trace(pulled @ q_orig) / np.trace(q_orig @ q_orig)
+    if scale <= 0:
+        return False
+    return np.linalg.norm(pulled - scale * q_orig) <= tol * np.linalg.norm(q_orig) * abs(scale)
 
 
 def _matches_setwise(images, targets, tol):

@@ -348,6 +348,18 @@ def test_bad_coordinates_are_input_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [("check", "--suite", "linconv"), ("dual",)])
+def test_unbounded_h_domain_file_is_an_input_error(tmp_path, capsys, argv):
+    spec = tmp_path / "unbounded.dom"
+    spec.write_text("name: unbounded\ndimension: 2\ntype: hdomain\n"
+                    "functionals: (1, 0, 0); (0, 1, 0); (1, 1, 0)\nreference_point: (0.5, 0.5)\n")
+    code, out, err = run(capsys, *argv, "--file", str(spec))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "H-domain is unbounded or has empty interior in its chart" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "dist", "--file", "/nonexistent.dom", "0", "0.5")
     assert code == 2

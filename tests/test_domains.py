@@ -12,7 +12,6 @@ from elliptic_tubes.domains import (
     SliceDisk,
     VPolytope,
     _facet_rows,
-    contains_barycentric,
 )
 from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.errors import DegenerateError, NotInteriorError, ValidationError
@@ -69,6 +68,18 @@ def test_hdomain_needs_reference():
         ConvexDomain(rep)
 
 
+@pytest.mark.parametrize("coeffs, reference", [
+    ([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]], (0.5, 0.5)),  # qhull finds the dual points flat
+    ([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 1.0]], (0.5, 0.5)),  # the reference is outside the dual hull
+    ([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0]], (0.5, 0.5)),  # no row has a chart normal
+    ([[1.0, 0], [1.0, 1.0]], (0.5,)),  # an interval with one end
+])
+def test_unbounded_hdomain_is_rejected_when_built(coeffs, reference):
+    rep = HDomain(tuple(Functional(c) for c in coeffs))
+    with pytest.raises(ValidationError, match="unbounded"):
+        ConvexDomain(rep, reference_point=reference)
+
+
 def test_reference_on_kernel_rejected():
     rep = HDomain((Functional([1.0, 0, 0]), Functional([0, 1.0, 0]), Functional([-1.0, -1, 1])))
     with pytest.raises(ValidationError):
@@ -94,6 +105,29 @@ def test_ellipse_membership(ellipse, rng):
         assert ellipse.contains(x) == bool(q < 1.0)
 
 
+def _contains_barycentric(domain, x, tol=1e-12):
+    """Strict hull membership through a strictly positive barycentric
+    representation (linear program): an independent route against the facet
+    test, for V-polytopes."""
+    from scipy.optimize import linprog
+
+    verts = domain.vertices_chart()
+    x = np.real(domain.chart_point(x))
+    m = len(verts)
+    # variables: lambda_1..m, t ; maximize t
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_eq = np.zeros((domain.n + 1, m + 1))
+    a_eq[: domain.n, :m] = verts.T
+    a_eq[domain.n, :m] = 1.0
+    b_eq = np.append(x, 1.0)
+    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+    b_ub = np.zeros(m)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
+    return bool(res.success and -res.fun > tol)
+
+
 def test_barycentric_route_agrees(square, simplex, rng):
     for domain in (square, simplex):
         lo, hi = domain.bbox
@@ -101,7 +135,7 @@ def test_barycentric_route_agrees(square, simplex, rng):
             x = rng.uniform(lo - 0.2, hi + 0.2)
             if abs(domain.margin(x)) < 1e-9:
                 continue
-            assert contains_barycentric(domain, x) == domain.contains(x)
+            assert _contains_barycentric(domain, x) == domain.contains(x)
 
 
 def test_halfline_membership(halfline):

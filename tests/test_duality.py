@@ -73,6 +73,28 @@ def test_double_dual_recovers_vertices(name):
         assert any(_proj_match(v, w) for w in verts2)
 
 
+def _homogeneous_rows(domain):
+    """A polytope's facet rows as unit functionals on homogeneous
+    coordinates, which every chart shares."""
+    rows = domain.rows() @ domain.chart.matrix
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", ["triangle", "halfline", "fat", "cube3"])
+def test_double_dual_recovers_the_rows(name):
+    if name == "fat":
+        domain = _fat_triangle()
+    elif name == "cube3":
+        domain = load_domain(_PERFBENCH / "cube3.dom").domain.as_hdomain()
+    else:
+        domain = catalog.by_name(name)
+    rows = _homogeneous_rows(domain)
+    double = _homogeneous_rows(dual_of(dual_of(domain).domain).domain)
+    assert len(double) == len(rows)
+    for row in rows:
+        assert sum(np.allclose(row, other, rtol=0.0, atol=1e-12) for other in double) == 1
+
+
 def test_dual_of_triangle_prunes_redundant_row():
     funcs = [
         Functional([1.0, 0.0, 0.0]),
@@ -144,9 +166,18 @@ def _reference_prune(rows, box, tol=1e-9):
     return keep
 
 
+def _input_rows(domain):
+    """An H-domain's functionals as unit chart rows positive at its
+    reference point, in input order."""
+    rows = np.vstack([domain.chart.inverse.T @ f.coeffs for f in domain.rep.functionals])
+    rows = rows * np.sign(rows @ np.append(domain.reference, 1.0))[:, None]
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def _assert_dual_keeps_the_lp_rows(domain):
-    rows = domain.rows()
+    rows = _input_rows(domain)
     keep = _reference_prune(rows, domain.bbox)
+    assert np.array_equal(domain.rows(), rows[keep])
     verts = [v.coords for v in dual_of(domain).domain.rep.vertices]
     lifts = [HPoint(domain.chart.matrix.T @ rows[k]).coords for k in keep]
     assert len(verts) == len(lifts)

@@ -1,4 +1,5 @@
-"""Lint: every module-level import of the package is used."""
+"""Lint: every module-level import of the package is used, and only
+``domains.py`` imports qhull."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,31 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def spatial_imports(source):
+    """The lines of ``source`` that import ``scipy.spatial``, at module or
+    function level."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.spatial" or name.startswith("scipy.spatial.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_a_spatial_import():
+    source = ("import scipy.spatial\nimport scipy\n"
+              "def f():\n    from scipy import spatial\n    from scipy.spatial import ConvexHull\n")
+    assert spatial_imports(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "domains.py"),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_only_domains_imports_qhull(path):
+    assert spatial_imports(path.read_text(encoding="utf-8")) == []

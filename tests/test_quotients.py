@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from elliptic_tubes import catalog
-from elliptic_tubes.domains import SliceDisk
+from elliptic_tubes.domains import ConvexDomain, HDomain, SliceDisk
 from elliptic_tubes.errors import (
     GroupValidationError,
     InfinityError,
     UnsupportedConfigurationError,
 )
-from elliptic_tubes.projective import HPoint, ProjectiveMap, proj_eq
+from elliptic_tubes.projective import Functional, HPoint, ProjectiveMap, proj_eq
 from elliptic_tubes.quotients import (
     ConvexRPManifold,
     check_free_action,
@@ -37,6 +37,24 @@ def test_generators_must_preserve_domain(interval):
     shift = ProjectiveMap([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(GroupValidationError):
         ConvexRPManifold(interval, [shift])
+
+
+def test_symmetry_of_an_h_domain_with_a_redundant_row():
+    # the triangle with the redundant row x + y + 1 > 0: the map cycling its
+    # vertices (0,0) -> (1,0) -> (0,1) sends the redundant row's kernel to a
+    # line that is none of the four, and still preserves the domain
+    funcs = [
+        Functional([1.0, 0.0, 0.0]),
+        Functional([0.0, 1.0, 0.0]),
+        Functional([-1.0, -1.0, 1.0]),
+        Functional([1.0, 1.0, 1.0]),
+    ]
+    fat = ConvexDomain(HDomain(funcs), reference_point=np.array([0.25, 0.25]))
+    cycle = ProjectiveMap([[-1.0, -1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert len(ConvexRPManifold(fat, [cycle]).generators) == 1
+    shift = ProjectiveMap([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(GroupValidationError, match="does not preserve"):
+        ConvexRPManifold(fat, [shift])
 
 
 def test_generator_shape_checked(interval):
