@@ -13,7 +13,9 @@ the wall a user pays per command, interpreter start and imports included,
 which perfbench's ``setup_s`` does not see (it re-imports only the
 package's own modules).  Each checkout then prints the tables of its own
 ``benchmarks/bench_kernels.py`` (``KERNELS``): the raster kernel and the
-component counts at 512² and 1024², and the stages of a line check.
+component counts at 512² and 1024², and the stages of a line check; and
+the change's ``benchmarks/bench_points.py`` (``POINTS``) prints, on each
+checkout's ``src/``, the microseconds per one-point query call.
 
     python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
 
@@ -31,8 +33,8 @@ Tier-1 wall time and pass counts of each side; the median and quartiles
 of each acceptance criterion's wall time on each side (the call phase,
 from ``pytest --durations=0 tests/test_acceptance.py``); the median and
 quartiles of each cold command's wall time on each side; each side's
-kernel tables, as printed lines; and the machine: the number of CPUs and
-the Python, NumPy and SciPy versions.
+kernel tables and one-point tables, as printed lines; and the machine:
+the number of CPUs and the Python, NumPy and SciPy versions.
 """
 
 import argparse
@@ -59,6 +61,7 @@ COLD_COMMANDS = [["check", "--domain", name, "--suite", "all"]
                               "simplex")] + [["map", "--domain", "interval", "0.5i"]]
 KERNELS = [sys.executable, os.path.join("benchmarks", "bench_kernels.py"),
            "--resolutions", "512,1024", "--lines", "20"]
+POINTS = os.path.join("benchmarks", "bench_points.py")
 
 
 def revision(root):
@@ -135,12 +138,14 @@ def cold_walls(roots):
             for side, times in walls.items()}
 
 
-def kernel_tables(roots):
-    """Per side, the lines that its own ``KERNELS`` script printed."""
+def script_tables(roots, argv):
+    """Per side, the lines that ``argv`` printed, run from the side's root
+    on its own ``src/``: a relative script path runs each side's own
+    script, an absolute one the same script on both sides."""
     tables = {}
     for side, root in roots.items():
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        proc = subprocess.run(KERNELS, cwd=root, env=env, capture_output=True, text=True,
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
                               check=True)
         tables[side] = proc.stdout.splitlines()
     return tables
@@ -224,7 +229,9 @@ def main(argv=None):
         "tier1": {side: tier1(root) for side, root in roots.items()},
         "criterion_walls_s": criterion_walls(roots),
         "cold_start_s": cold_walls(roots),
-        "kernel_tables": kernel_tables(roots),
+        "kernel_tables": script_tables(roots, KERNELS),
+        "point_tables": script_tables(
+            roots, [sys.executable, os.path.join(roots["change"], POINTS)]),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -242,8 +249,9 @@ def main(argv=None):
     for cmd in cold["change"]:
         print(f"{cmd:<50} parent {cold['parent'][cmd]['median']:<8.3g} "
               f"change {cold['change'][cmd]['median']:.3g}")
-    for side, lines in result["kernel_tables"].items():
-        print(f"{side} kernels\n" + "\n".join(lines))
+    for key in ("kernel_tables", "point_tables"):
+        for side, lines in result[key].items():
+            print(f"{side} {key}\n" + "\n".join(lines))
     return 0
 
 

@@ -3,7 +3,8 @@
 A domain is bounded inside its own affine chart.  Internally every
 representation is reduced to chart data with the chart lift ``(x, 1)``:
 
-* V-polytope: vertex chart coordinates plus derived facet rows,
+* V-polytope: the chart coordinates of the input points that are vertices
+  of their hull, plus derived facet rows,
 * H-domain: functional rows ``g`` with ``g . (x, 1) > 0`` on the domain,
   plus derived vertices,
 * ellipsoid: ``(x - c)^T S (x - c) < 1`` with S symmetric positive definite.
@@ -18,6 +19,7 @@ their input order.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,16 @@ def _quadratic(vecs, shape, others):
     """``v @ shape @ w`` for paired rows of two (B, n) arrays, rounded as
     the one-row expression is."""
     return ((vecs[:, None, :] @ shape) @ others[:, :, None])[:, 0, 0]
+
+
+def _div(p, q):
+    """``p / q`` of two floats as NumPy divides them: a zero q gives a
+    signed infinity, or NaN for 0 / 0, where Python raises."""
+    if q:
+        return p / q
+    if p != p or p == 0.0:
+        return math.nan
+    return math.copysign(math.inf, p) * math.copysign(1.0, q)
 
 
 def box_rejection(rng, count, lo, hi, accept, label):
@@ -215,20 +227,25 @@ class SliceDisk:
 
 
 def _facet_rows(verts):
-    """Outward facet rows (g, c) with ``g . x + c > 0`` inside the hull."""
+    """``(rows, extreme)``: outward facet rows (g, c) with ``g . x + c > 0``
+    inside the hull of the points ``verts``, and the sorted indices of the
+    points that are vertices of the hull (for n = 1, the two ends)."""
     verts = np.asarray(verts, dtype=np.float64)
     n = verts.shape[1]
     if n == 1:
-        lo, hi = float(verts.min()), float(verts.max())
+        ends = [int(verts.argmin()), int(verts.argmax())]
+        lo, hi = float(verts[ends[0], 0]), float(verts[ends[1], 0])
         if hi - lo < 1e-12:
             raise ValidationError("interval endpoints coincide")
         rows = np.array([[1.0, -lo], [-1.0, hi]])
+        extreme = np.sort(ends)
     else:
         from scipy.spatial import ConvexHull
 
         hull = ConvexHull(verts)
         rows = -hull.equations  # equations satisfy A x + b <= 0 inside
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        extreme = np.sort(hull.vertices)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True), extreme
 
 
 def _h_polytope(rows, reference):
@@ -335,7 +352,9 @@ class ConvexDomain:
         self.reference = np.asarray(reference_point, dtype=np.float64).reshape(n)
 
         if isinstance(rep, VPolytope):
-            self._rows = _distinct_rows(_facet_rows(self._verts))
+            rows, extreme = _facet_rows(self._verts)
+            self._rows = _distinct_rows(rows)
+            self._verts = self._verts[extreme]
         elif isinstance(rep, HDomain):
             rows = np.vstack([chart.inverse.T @ f.coeffs for f in rep.functionals])
             ref_lift = np.append(self.reference, 1.0)
@@ -526,6 +545,43 @@ class ConvexDomain:
         lo[~ok] = np.nan
         hi[~ok] = np.nan
         return lo, hi, ok
+
+    def _clip_one(self, x, unit):
+        """:meth:`contains_rows` of x and :meth:`clip_lines` of the line ``t
+        -> x + t unit``, both given as float lists: ``(inside, a, b, ok)``,
+        each rounded as the one-row calls round it.  The row products are
+        the same NumPy calls on one-row stacks; the rest is float arithmetic,
+        which rounds as NumPy's elementwise operations do."""
+        if self._rows is not None:
+            alphas = _rowdot(self._rows, np.array([x + [1.0]]))[0].tolist()
+            betas = _rowdot(self._rows[:, :-1], np.array([unit]))[0].tolist()
+            inside, blocked, lo, hi = True, False, -math.inf, math.inf
+            for alpha, beta in zip(alphas, betas):
+                inside = inside and alpha > 0.0
+                if beta > _PARALLEL_TOL:
+                    lo = max(lo, -alpha / beta)
+                elif beta < -_PARALLEL_TOL:
+                    hi = min(hi, -alpha / beta)
+                elif alpha <= 0.0:
+                    blocked = True
+            if blocked:
+                lo = math.inf
+        else:
+            d = [p - c for p, c in zip(x, self._center.tolist())]
+            a2, a1, q = _quadratic(np.array([unit, unit, d]), self._shape,
+                                   np.array([unit, d, d])).tolist()
+            a1 = 2.0 * a1
+            inside, a0 = q < 1.0, q - 1.0
+            disc = a1 * a1 - 4.0 * a2 * a0
+            sq = math.sqrt(disc) if disc >= 0.0 else math.nan  # NaN: the line misses
+            lo = _div(-a1 - sq, 2.0 * a2)
+            hi = _div(-a1 + sq, 2.0 * a2)
+        span = hi - lo
+        if span == math.inf:
+            raise ValidationError("domain is unbounded along the line")
+        if not span >= _DEGENERATE_CLIP:
+            return inside, math.nan, math.nan, False
+        return inside, lo, hi, True
 
     def ray_clips(self, x, v):
         """``(length, unit, a, b, ok)`` for the lines ``t -> x + t v / |v|``

@@ -23,7 +23,7 @@ from .diskgeom import (
     geodesic_foot,
     geodesic_foot_rows,
 )
-from .domains import _REAL_BAND, ConvexDomain, _finite, _quadratic, box_rejection
+from .domains import _REAL_BAND, ConvexDomain, _div, _finite, _quadratic, box_rejection
 from .errors import (
     EmptySliceError,
     InfinityError,
@@ -32,7 +32,7 @@ from .errors import (
     RealPointError,
     RepresentationError,
 )
-from .projective import HPoint, _affine, _rowdot, row_norms
+from .projective import HPoint, _affine, _dots, _rowdot, row_norms
 
 INTERIOR = "Interior"
 EXTERIOR = "Exterior"
@@ -70,20 +70,21 @@ class Tube:
         return _finite(arr.astype(np.complex128))
 
     def _split(self, z):
-        """(x, y, is_real) with the chart-level reality band applied."""
+        """``(x, y, |y|, is_real)`` of a one-point query z = x + iy: its chart
+        parts as float lists, the length of y and the reality band of
+        :func:`_real_rows`, each rounded as that rounds one row; None at
+        chart infinity."""
         zeta = self.chart_complex(z)
         if zeta is None:
             return None
-        x = zeta.real.copy()
-        y = zeta.imag.copy()
-        if np.linalg.norm(y) <= _REAL_BAND * (1.0 + np.linalg.norm(x)):
-            return x, np.zeros_like(y), True
-        return x, y, False
+        x, y = zeta.real.tolist(), zeta.imag.tolist()
+        speed, size = [math.sqrt(s) for s in _dots(np.array([y, x])).tolist()]
+        return x, y, speed, speed <= _REAL_BAND * (1.0 + size)
 
     def _split_rows(self, zeta):
         """``(x, y, is_real)`` of every row of a (B, n) complex chart array:
-        contiguous copies of the real and imaginary parts, as
-        :meth:`_split` copies them, and the reality flags of its band."""
+        contiguous copies of the real and imaginary parts, and the reality
+        flags of :meth:`_split`'s band."""
         zeta = np.asarray(zeta, dtype=np.complex128)
         x = np.ascontiguousarray(zeta.real)
         y = np.ascontiguousarray(zeta.imag)
@@ -103,12 +104,14 @@ class Tube:
         parts = self._split(z)
         if parts is None:
             return False
-        x, y, real_flag = parts
-        if real_flag:  # x is already checked finite: no second coercion
-            return bool(self.base.contains_rows(x[None])[0])
-        speed, _, a, b, _ = self.base.ray_clips(x[None], y[None])
-        on_slice, prod = _gauge_product(speed[0], a[0], b[0])
-        return bool(on_slice and prod < 1.0)
+        x, y, speed, real_flag = parts
+        if real_flag:
+            return bool(self.base.contains_rows(np.array([x]))[0])
+        _, a, b, _ = self.base._clip_one(x, [v / speed for v in y])
+        if not a < 0.0 < b:  # NaN ends: the line misses the base
+            return False
+        p_plus, p_minus = _gauge_pair(speed, a, b)
+        return p_plus * p_minus < 1.0
 
     def contains_rows(self, zeta):
         """:meth:`contains` of every row of a (B, n) complex chart array:
@@ -174,7 +177,7 @@ class Tube:
         parts = self._split(z)
         if parts is None:
             raise InfinityError("point lies at chart infinity")
-        x, y, real_flag = parts
+        x, y, _, real_flag = parts
         if real_flag:
             raise RealPointError("a real point does not select a unique slice")
         return self.slice_on_line(x, y)
@@ -191,24 +194,28 @@ class Tube:
     # boundary gauges
 
     def _query(self, z):
-        """``(x, trace)`` of a one-point query at z = x + iy: the real part
-        after the band of :meth:`_split`, and ``(|y|, a, b, unit)``, the
-        height of z over the clip (a, b) of its trace line ``t -> x + t
-        unit`` (see :meth:`ConvexDomain.ray_clips`), None for a real z.
-        Raises when z lies at chart infinity, when its real part lies
-        outside the base, and when the trace line's clip is empty."""
+        """``(x, trace)`` of a one-point query at z = x + iy: the real part,
+        and ``(|y|, a, b, unit)``, the height of z over the clip (a, b) of
+        its trace line ``t -> x + t unit`` (see
+        :meth:`ConvexDomain._clip_one`), None for a z in the reality band of
+        :meth:`_split`; x and unit are arrays.  Raises when z lies at chart
+        infinity, when its real part lies outside the base, and when the
+        trace line's clip is empty, in that order."""
         parts = self._split(z)
         if parts is None:
             raise OutsideTubeError("point lies at chart infinity")
-        x, y, real_flag = parts
-        if not self.base.contains_rows(x[None])[0]:
-            raise NotInteriorError(_NOT_INTERIOR)
+        x, y, speed, real_flag = parts
         if real_flag:
-            return x, None
-        speed, unit, a, b, ok = self.base.ray_clips(x[None], y[None])
-        if not ok[0]:
+            if not self.base.contains_rows(np.array([x]))[0]:
+                raise NotInteriorError(_NOT_INTERIOR)
+            return np.array(x), None
+        unit = [v / speed for v in y]
+        inside, a, b, ok = self.base._clip_one(x, unit)
+        if not inside:
+            raise NotInteriorError(_NOT_INTERIOR)
+        if not ok:
             raise EmptySliceError(_EMPTY_SLICE)
-        return x, (speed[0], a[0], b[0], unit[0])
+        return np.array(x), (speed, a, b, np.array(unit))
 
     def _query_rows(self, zeta):
         """:meth:`_query` of every row of a (B, n) complex chart array, each
@@ -296,8 +303,8 @@ class Tube:
         parts = self._split(z)
         if parts is None:
             return EXTERIOR
-        x, y, real_flag = parts
-        x, y = x[None], y[None]
+        x, y, _, real_flag = parts
+        x, y = np.array([x]), np.array([y])
         kinds = self._classify_rows(x, y, np.array([real_flag]), self.base.margin_rows(x), band)
         return _KINDS[kinds[0]]
 
@@ -482,7 +489,7 @@ def _gauge_pair(speed, a, b):
 
 def _gauge_product(speed, a, b):
     """``(on_slice, prod)`` for points at heights ``speed`` above the clips
-    (a, b) of their trace lines, scalars or (B,) arrays: whether ``a < 0 < b`` (false
+    (a, b) of their trace lines, (B,) arrays: whether ``a < 0 < b`` (false
     for the NaN ends of a line that misses the base) and the gauge product
     ``p(z) p(conj z)``.  A point lies in its slice when both
     ``a < 0 < b`` and the product is below 1."""
@@ -494,7 +501,8 @@ def _gauge_product(speed, a, b):
 def _angle(speed, a, b):
     """The boundary angle of a point at height ``speed`` above the clip
     (a, b), ``a < 0 < b``, of its trace line; raises off the closed tube."""
-    p_plus, p_minus = _gauge_pair(speed, a, b)
+    # _gauge_pair of floats, where an end at 0 divides as NumPy divides
+    p_plus, p_minus = _div(speed, b), _div(speed, -a)
     prod = p_plus * p_minus
     if prod >= 1.0 + 1e-12:
         raise OutsideTubeError(_OFF_CLOSED)

@@ -35,7 +35,7 @@ def _unit_rows(domain):
     """The unit rows of a polytope as built before repeated rows were
     dropped."""
     if isinstance(domain.rep, VPolytope):
-        return _facet_rows(domain._verts)
+        return _facet_rows(domain._verts)[0]
     rows = np.vstack([domain.chart.inverse.T @ f.coeffs for f in domain.rep.functionals])
     rows = rows * np.sign(rows @ np.append(domain.reference, 1.0))[:, None]
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elliptic_tubes import catalog
-from elliptic_tubes.domains import ConvexDomain, HDomain, SliceDisk
+from elliptic_tubes.domains import ConvexDomain, HDomain, SliceDisk, VPolytope
 from elliptic_tubes.errors import (
     GroupValidationError,
     InfinityError,
@@ -55,6 +55,21 @@ def test_symmetry_of_an_h_domain_with_a_redundant_row():
     shift = ProjectiveMap([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(GroupValidationError, match="does not preserve"):
         ConvexRPManifold(fat, [shift])
+
+
+def test_symmetry_of_a_v_polytope_with_an_inner_point():
+    # the triangle given with the inner point (0.2, 0.2): only the three
+    # corners are its vertices, so the map cycling them preserves it; the
+    # default reference stays the mean of all four input points
+    points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2)]
+    fat = ConvexDomain(VPolytope(tuple(HPoint([x, y, 1.0]) for x, y in points)))
+    np.testing.assert_array_equal(fat.vertices_chart(), points[:3])
+    np.testing.assert_array_equal(fat.reference, np.mean(points, axis=0))
+    cycle = ProjectiveMap([[-1.0, -1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert len(ConvexRPManifold(fat, [cycle]).generators) == 1
+    # on the line the inner point and both ends are input points
+    line = ConvexDomain(VPolytope((HPoint([0.5, 1.0]), HPoint([2.0, 1.0]), HPoint([-1.0, 1.0]))))
+    np.testing.assert_array_equal(line.vertices_chart(), [[2.0], [-1.0]])
 
 
 def test_generator_shape_checked(interval):

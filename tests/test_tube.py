@@ -194,28 +194,35 @@ def test_slice_on_missing_line(square):
 def test_each_query_clips_its_trace_line_once(monkeypatch, name):
     tube = Tube(catalog.by_name(name))
     zs = tube.sample_points(np.random.default_rng(2), 20)
+    # a one-point query clips through _clip_one, a row query through
+    # clip_lines; each call is recorded with the lines it clipped
     calls = []
-    clip_lines = ConvexDomain.clip_lines
+    clip_lines, clip_one = ConvexDomain.clip_lines, ConvexDomain._clip_one
 
     def counted(self, x0, directions):
-        calls.append(len(x0))
+        calls.append(("clip_lines", len(x0)))
         return clip_lines(self, x0, directions)
+
+    def counted_one(self, x, unit):
+        calls.append(("_clip_one", 1))
+        return clip_one(self, x, unit)
 
     def no_slice_disk(self, line):
         raise AssertionError("a one-point query built a SliceDisk")
 
     monkeypatch.setattr(ConvexDomain, "clip_lines", counted)
+    monkeypatch.setattr(ConvexDomain, "_clip_one", counted_one)
     monkeypatch.setattr(ConvexDomain, "line_clip", no_slice_disk)
     queries = (tube.u_value, tube.core_distance, lambda z: to_tangent(tube, z))
     for z in zs:
         for query in queries:
-            for point, clips in ((z, [1]), (z.real + 0j, [])):
+            for point, clips in ((z, [("_clip_one", 1)]), (z.real + 0j, [])):
                 calls.clear()
                 query(point)
                 assert calls == clips
     calls.clear()
     tube.core_distance_rows(np.concatenate([zs, zs.real + 0j]))
-    assert calls == [len(zs)]
+    assert calls == [("clip_lines", len(zs))]
 
 
 @pytest.mark.parametrize("name", catalog.names())
