@@ -11,11 +11,12 @@ sides again alternating which runs first.  Last, each checkout runs
 elliptic_tubes.cli`` processes, the sides alternating from round to round:
 the wall a user pays per command, interpreter start and imports included,
 which perfbench's ``setup_s`` does not see (it re-imports only the
-package's own modules).  Each checkout then prints the tables of its own
-``benchmarks/bench_kernels.py`` (``KERNELS``): the raster kernel and the
-component counts at 512² and 1024², and the stages of a line check; and
-the change's ``benchmarks/bench_points.py`` (``POINTS``) prints, on each
-checkout's ``src/``, the microseconds per one-point query call.
+package's own modules).  Then the change's ``benchmarks/bench_kernels.py``
+(``KERNELS``) prints, on each checkout's ``src/``, its tables: the raster
+kernel and the component counts at 512² and 1024², the stages of a line
+check, and the microseconds per ``slice_topology`` call; and the change's
+``benchmarks/bench_points.py`` (``POINTS``) prints, on each checkout's
+``src/``, the microseconds per one-point query call.
 
     python3 benchmarks/bench.py --parent ../parent --change . --out BENCH_8.json [--seed 1]
 
@@ -59,8 +60,8 @@ COLD_RUNS = 7
 COLD_COMMANDS = [["check", "--domain", name, "--suite", "all"]
                  for name in ("interval", "halfline", "disk", "ellipse", "square", "triangle",
                               "simplex")] + [["map", "--domain", "interval", "0.5i"]]
-KERNELS = [sys.executable, os.path.join("benchmarks", "bench_kernels.py"),
-           "--resolutions", "512,1024", "--lines", "20"]
+KERNELS = (os.path.join("benchmarks", "bench_kernels.py"), "--resolutions", "512,1024",
+           "--lines", "20")
 POINTS = os.path.join("benchmarks", "bench_points.py")
 
 
@@ -229,7 +230,8 @@ def main(argv=None):
         "tier1": {side: tier1(root) for side, root in roots.items()},
         "criterion_walls_s": criterion_walls(roots),
         "cold_start_s": cold_walls(roots),
-        "kernel_tables": script_tables(roots, KERNELS),
+        "kernel_tables": script_tables(
+            roots, [sys.executable, os.path.join(roots["change"], KERNELS[0]), *KERNELS[1:]]),
         "point_tables": script_tables(
             roots, [sys.executable, os.path.join(roots["change"], POINTS)]),
     }

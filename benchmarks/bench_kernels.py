@@ -23,19 +23,35 @@ arcs; no bitmap) and the component counts of the runs (``run_counts``),
 averaged over ``--lines`` seeds per domain.  The line's forms, built once
 for the arcs and the rasters, fall under "other".
 
+The arcs table times ``slice_topology`` alone, in microseconds per call,
+on the forms of ``--lines`` random lines (seeds 0, 1, ...) per case: the
+triangle (3 forms), the square (6), the ellipse (1), the triangle's
+punctured control lines (criterion 08's puncture, lines through its centre
+drawn as ``verify_c_convexity`` draws them at seed 5; 4 forms) and
+``perfbench/cube3.dom`` (15).  Each case is the best of ``--repeat``
+passes over its lines.  The script uses only calls that have not changed
+their signatures, so it can time an older checkout's ``src/`` as well.
+
     python3 benchmarks/bench_kernels.py [--resolutions 512,1024] [--repeat 5] [--lines 10]
 """
 
 import argparse
+import os
 import time
 from collections import defaultdict
 
 import numpy as np
 
 from elliptic_tubes import _kernels, catalog, verify
+from elliptic_tubes.domspec import load_domain
 from elliptic_tubes.tube import Tube
 
 CASES = (("triangle", "pairwise m=3"), ("square", "pairwise m=4"), ("ellipse", "ellipsoid"))
+CUBE3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
+                     "cube3.dom")
+# criterion 08's negative control: lines of seed 5 through the puncture
+CONTROL_SEED = 5
+PUNCTURE = (np.array([0.25, 0.25]), 0.08)
 
 
 def _best(func, args, repeat):
@@ -112,6 +128,38 @@ def stage_table(lines, resolution=512, stability=2):
               + f" {other / lines * 1e3:>8.2f} {wall / lines * 1e3:>8.2f}")
 
 
+def _arc_cases(lines):
+    """``(case, form count, forms of each line)`` of the arcs table."""
+    cube3 = load_domain(CUBE3).domain
+    cases = [(name, catalog.by_name(name), None) for name, _ in CASES]
+    cases += [("control", catalog.by_name("triangle"), PUNCTURE), ("cube3", cube3, None)]
+    out = []
+    for name, domain, puncture in cases:
+        tube = Tube(domain)
+        if puncture is None:
+            rngs = (np.random.default_rng(np.random.SeedSequence([seed])) for seed in range(lines))
+            drawn = [verify._random_line(tube, rng) for rng in rngs]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([CONTROL_SEED]))
+            drawn = [verify._random_line(tube, rng, through=puncture[0]) for _ in range(lines)]
+        forms = [verify._line_forms(tube, anchor, direction, puncture)
+                 for anchor, direction, _ in drawn]
+        out.append((name, np.size(forms[0][0]), forms))
+    return out
+
+
+def arc_table(lines, repeat):
+    print(f"{'case':<10} {'forms':>5} {'slice_topology us':>17}")
+    for name, count, forms in _arc_cases(lines):
+        best = np.inf
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            for line in forms:
+                _kernels.slice_topology(*line)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{name:<10} {count:>5} {best / len(forms) * 1e6:>17.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -122,6 +170,8 @@ def main():
     kernel_table([int(tok) for tok in args.resolutions.split(",")], args.repeat)
     print()
     stage_table(args.lines)
+    print()
+    arc_table(args.lines, args.repeat)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ elliptic_tubes.cli`` processes, from its root and on its own ``src/``:
 * ``check --suite all --verbose --seed k`` for k = 0, 1, 2 on every
   catalog domain, and at ``--samples 5`` on ``perfbench/cube3.dom`` and
   ``perfbench/simplex4.dom``;
+* ``check --suite cconv --samples 2000 --verbose --seed k`` for k = 0, 1,
+  2 on every catalog domain and on ``domspecs/punctured-interval.dom``:
+  50 lines per report, with their ``raster_disagreements``;
 * ``map`` and ``dist`` on ``POINTS`` seeded points of each of these
   domains: ``map z``, and ``dist z w`` with ``w = Re z + i Im z / 2`` (on
   the complexified line of z) or, for every other point, with w the
@@ -16,9 +19,9 @@ The points come from the parent's ``Tube.sample_points`` (seed
 ``POINT_SEED``), so both checkouts get the same input.  For each command
 whose standard output, standard error or exit code differs between the
 checkouts it prints a unified diff, then one summary line.  It exits 1
-when an exit code, a report's verdict word, a sample count or a violation
-count differs, and 0 when only other digits (``max_error``, the numbers
-``map`` and ``dist`` print) moved.
+when an exit code, a report's verdict word, a sample count, a violation
+count or a raster disagreement count differs, and 0 when only other digits
+(``max_error``, the numbers ``map`` and ``dist`` print) moved.
 
     python3 benchmarks/compare_reports.py --parent ../parent --change .
 """
@@ -36,12 +39,15 @@ import numpy as np
 CATALOG = ("interval", "halfline", "disk", "ellipse", "square", "triangle", "simplex")
 FILES = ("cube3", "simplex4")
 SEEDS = (0, 1, 2)
+# the C-convexity reports, at 50 lines each, also on the punctured control
+CCONV_FILES = (os.path.join("domspecs", "punctured-interval.dom"),)
+CCONV_SAMPLES = 2000
 POINTS = 6
 POINT_SEED = 20
 # the lines that must not move: a summary's verdict word and counts (not
 # its max_error), and the verdict and count lines of a verbose report
 _SUMMARY = re.compile(r"^\[(PASS|FAIL|SKIP)\] ([^:]+):(?: (\d+) samples, (\d+) violations)?")
-_COUNTS = ("verdict:", "samples_run:", "skipped:", "violations:")
+_COUNTS = ("verdict:", "samples_run:", "skipped:", "violations:", "raster_disagreements:")
 
 
 def domain_args():
@@ -95,6 +101,11 @@ def commands(parent):
             pair = (z, z.real + 0.5j * z.imag) if k % 2 == 0 else (z.real + 0j, zs[k - 1].real + 0j)
             out.append(["dist", *argv, "--", *map(_point, pair)])
         out.append(["dual", *argv])
+    cconv = [["--domain", name] for name in CATALOG] + [["--file", path] for path in CCONV_FILES]
+    for argv in cconv:
+        for seed in SEEDS:
+            out.append(["check", *argv, "--suite", "cconv", "--samples", str(CCONV_SAMPLES),
+                        "--verbose", "--seed", str(seed)])
     return out
 
 

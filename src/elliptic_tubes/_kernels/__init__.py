@@ -15,10 +15,14 @@ of one, and `form_runs` finds it by binary search, with the very
 comparisons `form_mask` makes, as row runs (`mask_runs` gives the runs of
 a bitmap and `paint_runs` the bitmap of runs).  The zero set of each form
 is a circle, a line or at most a point, so the region where every form is
-positive is bounded by circle arcs and segments, and `slice_topology`
-counts its components and holes from them, with no pixels.
-`component_labels` labels graph components, the arc cycles here and the
-row runs in `verify.run_counts`.
+positive is bounded by circle arcs and segments (`_boundary_arcs`), and
+`slice_topology` counts its components and holes from them, with no
+pixels.  A line has one form per pair of functionals (15 on the 3-cube),
+so the arcs are computed on Python floats with `math`, not on arrays:
+NumPy's per-call cost outweighs arithmetic on a handful of numbers.  They round differently from an array evaluation in
+the last bits, which the arcs' noise tolerances absorb (`slice_topology`).
+`component_labels` labels graph components: the row runs in
+`verify.run_counts`.
 
 `pairwise_forms` and `ellipsoid_forms` build the forms; the kernels paint
 `form_runs` of them.
@@ -47,7 +51,13 @@ Kernel contract
     them from the painted runs).
 """
 
+import functools
+import math
+from typing import NamedTuple
+
 import numpy as np
+
+from ..domains import _div
 
 _INFINITY_TOL = 1e-300
 
@@ -173,11 +183,22 @@ def pairwise_forms(fam_a, fam_b):
     """
     a = np.asarray(fam_a, dtype=np.complex128)
     b = np.asarray(fam_b, dtype=np.complex128)
-    p, q = np.triu_indices(len(a), k=1 if len(a) > 1 else 0)
+    p, q = _pair_indices(len(a))
     alpha = (b[q] * np.conj(b[p])).real
     beta = b[q] * np.conj(a[p]) + np.conj(a[q]) * b[p]
     gamma = (a[q] * np.conj(a[p])).real
     return alpha, beta, gamma
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_indices(count):
+    """The index pairs ``p < q`` of `pairwise_forms` for a family of
+    ``count`` values (``(0, 0)`` alone for one value), built once per
+    size and read-only."""
+    pairs = np.triu_indices(count, k=1 if count > 1 else 0)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def ellipsoid_forms(center, shape, aff_a, aff_b):
@@ -219,19 +240,129 @@ _NOISE = 1e-7
 # a discriminant within this share of its terms is zero: the form's zero
 # set is at most a point, not a curve
 _POINT = 64 * np.finfo(np.float64).eps
+_TAU = 2.0 * math.pi
+# the arguments, about a circle's centre, of its points farthest along each
+# axis, and those points' unit offsets from the centre
+_EXTREME = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
+_TIPS = tuple(complex(math.cos(t), math.sin(t)) for t in _EXTREME)
+
+
+class _Arc(NamedTuple):
+    """One boundary arc of a slice region: the part ``start <= sigma <=
+    stop`` of the zero curve ``w(sigma) = w0 + d t / (1 - i kappa t / 2)``,
+    ``t = tan(sigma / 2)``, of one form, with the region on its left.
+    ``n = i d`` is the curve's normal at ``w0``, its point nearest ``w =
+    0``; ``whole`` marks a curve that no other form cuts, whose one arc
+    runs from ``sigma = -pi`` round to ``pi``."""
+
+    w0: complex
+    d: complex
+    n: complex
+    kappa: float
+    start: float
+    stop: float
+    whole: bool
+
+
+def _boundary_arcs(alpha, beta, gamma):
+    """The boundary arcs (`_Arc`) of the bounded open region where every
+    form ``gamma_k + Re(beta_k w) + alpha_k |w|^2`` is > 0, curve by curve
+    in the order of the sorted forms and along each curve by ``sigma``; an
+    empty list when the region is empty.  An unbounded region raises
+    ValueError.  `slice_topology` gives the construction."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
+    columns = np.broadcast_arrays(np.asarray(alpha, dtype=np.float64), beta.real, beta.imag,
+                                  np.asarray(gamma, dtype=np.float64))
+    forms = []
+    for form in set(zip(*(column.ravel().tolist() for column in columns))):
+        a, b_re, b_im, g = form
+        size = math.hypot(b_re, b_im)
+        if size * size - 4.0 * a * g > _POINT * (size * size + 4.0 * abs(a * g)):
+            forms.append(form)
+        elif not (a if a != 0.0 else g) > 0.0:
+            return []
+    forms.sort()
+
+    coeffs, curves = [], []
+    for a, b_re, b_im, g in forms:
+        beta = complex(b_re, b_im)
+        size = abs(beta)
+        root = math.sqrt(size * size - 4.0 * a * g)
+        if size > 0.0:
+            scale = 1.0 / size
+            n = complex(b_re * scale, -b_im * scale)
+        else:
+            n = 1.0 + 0.0j
+        w0 = -2.0 * g / (size + root) * n
+        d = -1j * n
+        kappa = -2.0 * a / root
+        e = d - 0.5j * kappa * w0
+        coeffs.append((a, beta, g))
+        curves.append((w0, d, n, kappa, (e * e.conjugate()).real, (w0.conjugate() * e).real,
+                       (w0 * w0.conjugate()).real))
+    if not any(a < 0.0 for a, _, _ in coeffs) and not any(c[3] == 0.0 for c in curves):
+        raise ValueError("the region is unbounded")
+
+    pi, tau, sin, cos, atan2 = math.pi, _TAU, math.sin, math.cos, math.atan2
+    sqrt, copysign = math.sqrt, math.copysign
+    arcs = []
+    for k, (w0, d, n, kappa, e_e, w0_e, w0_w0) in enumerate(curves):
+        # the quadratic A t^2 + B t + C of every other form on this curve,
+        # and its stable roots as sigma = 2 atan2 of homogeneous pairs
+        # (q : A), (C : q)
+        quads, roots = [], []
+        k_k, k_half = 0.25 * kappa * kappa, 0.5 * kappa
+        for a, beta, g in coeffs[:k] + coeffs[k + 1:]:
+            beta_w0 = (beta * w0).real
+            beta_d = beta * d
+            qa = k_k * (g + beta_w0) - k_half * beta_d.imag + a * e_e
+            qb = beta_d.real + 2.0 * a * w0_e
+            qc = g + beta_w0 + a * w0_w0
+            quads.append((qa, qb, qc))
+            q_disc = qb * qb - 4.0 * qa * qc
+            if q_disc >= 0.0:
+                q = -0.5 * (qb + copysign(sqrt(q_disc), qb))
+                second = 2.0 * atan2(qc, q)
+                first = second if q == 0.0 and qa == 0.0 else 2.0 * atan2(q, qa)
+                roots += (pi - (pi - first) % tau, pi - (pi - second) % tau)
+        # the intervals between consecutive roots, each around the curve
+        # (sigma up to start + 2 pi); a curve with no root is one interval.
+        # An interval is an arc when every other form is > 0 at its middle;
+        # the form that rejected the last interval is tried first
+        if roots:
+            roots.sort()
+            intervals = zip(roots, roots[1:] + [roots[0] + tau])
+        else:
+            intervals = ((-pi, pi),)
+        for start, stop in intervals:
+            half = 0.25 * (start + stop)
+            s, c = sin(half), cos(half)
+            i = 0
+            for qa, qb, qc in quads:
+                if not qa * s * s + qb * s * c + qc * c * c > 0.0:
+                    if i:
+                        quads.insert(0, quads.pop(i))
+                    break
+                i += 1
+            else:
+                if kappa == 0.0 and stop >= pi:
+                    raise ValueError("the region is unbounded")
+                arcs.append(_Arc(w0, d, n, kappa, start, stop, not roots))
+    return arcs
 
 
 def slice_topology(alpha, beta, gamma):
     """``(components, holes, bbox)`` of the bounded open region where every
     form ``f_k(w) = gamma_k + Re(beta_k w) + alpha_k |w|^2`` is > 0, from the
-    circle arcs and segments that bound it; ``bbox`` is
+    circle arcs and segments that bound it (`_boundary_arcs`); ``bbox`` is
     ``((re_lo, re_hi), (im_lo, im_hi))`` of its closure, None when it is
     empty.  An unbounded region raises ValueError.
 
     A form whose zero set is at most a point has one sign off it: positive,
     it constrains nothing; otherwise the region is empty.  A repeated form
-    bounds once.  Each zero curve is parametrized from its point nearest ``w = 0``: with
-    ``D = |beta|^2 - 4 alpha gamma`` and ``n = conj(beta) / |beta|``,
+    bounds once.  Each zero curve is parametrized from its point nearest
+    ``w = 0``: with ``D = |beta|^2 - 4 alpha gamma`` and ``n = conj(beta) /
+    |beta|``,
 
         w(t) = s n - i n t / (1 - i kappa t / 2),
         s = -2 gamma / (|beta| + sqrt D),   kappa = -2 alpha / sqrt D,
@@ -248,114 +379,97 @@ def slice_topology(alpha, beta, gamma):
     a component's outer boundary and negative for a hole; a cycle within
     ``_NOISE`` of the extent is rounding noise.  Cycles that touch at a
     point count as one.
+
+    The body runs on Python floats and complex numbers with `math`: each
+    step is a few operations per curve or pair of curves, and on arrays of
+    at most a few dozen numbers NumPy's per-call cost outweighs them.  It
+    rounds otherwise than an array evaluation in the last bits (NumPy's
+    complex products may fuse multiply-adds, and its ``arctan2`` and
+    ``abs`` round differently), which moves an arc end by about the unit
+    roundoff of the extent, or by its square root where curves touch.  The
+    tolerances above absorb both, so the counts are those of the array
+    evaluation and the box agrees to about 1e-14 of its largest
+    coordinate.  Only where rounding alone decides, at a tangency whose
+    discriminant rounds to either sign, or at a crossing so shallow that
+    its region's area is about the noise floor, can the counts differ.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
-    forms = np.unique(np.column_stack(np.broadcast_arrays(
-        alpha, beta.real, beta.imag, gamma)).astype(np.float64), axis=0)
-    alpha, beta, gamma = forms[:, 0], forms[:, 1] + 1j * forms[:, 2], forms[:, 3]
-    size = np.abs(beta)
-    disc = size * size - 4.0 * alpha * gamma
-    curve = disc > _POINT * (size * size + 4.0 * np.abs(alpha * gamma))
-    if not np.all(np.where(alpha != 0.0, alpha, gamma)[~curve] > 0.0):
+    arcs = _boundary_arcs(alpha, beta, gamma)
+    if not arcs:
         return 0, 0, None
-    alpha, beta, gamma, size, root = (alpha[curve], beta[curve], gamma[curve], size[curve],
-                                      np.sqrt(disc[curve]))
-    count = len(alpha)
-
-    n = np.where(size > 0.0, np.conj(beta) / np.where(size > 0.0, size, 1.0), 1.0)
-    w0 = -2.0 * gamma / (size + root) * n
-    d = -1j * n
-    kappa = -2.0 * alpha / root
-    line = kappa == 0.0
-
-    # the quadratic of form j on curve k, A t^2 + B t + C, at [k, j]
-    e = d - 0.5j * kappa * w0
-    kap = kappa[:, None]
-    beta_w0 = (beta[None, :] * w0[:, None]).real
-    beta_d = beta[None, :] * d[:, None]
-    qa = 0.25 * kap * kap * (gamma + beta_w0) - 0.5 * kap * beta_d.imag \
-        + alpha * (e * e.conj()).real[:, None]
-    qb = beta_d.real + 2.0 * alpha * (w0.conj() * e).real[:, None]
-    qc = gamma + beta_w0 + alpha * (w0 * w0.conj()).real[:, None]
-    # stable roots as sigma = 2 atan2 of homogeneous pairs (q : A), (C : q)
-    q_disc = qb * qb - 4.0 * qa * qc
-    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(q_disc, 0.0)), qb))
-    second = 2.0 * np.arctan2(qc, q)
-    first = np.where((q == 0.0) & (qa == 0.0), second, 2.0 * np.arctan2(q, qa))
-    roots = np.pi - np.mod(np.pi - np.stack([first, second], axis=2), 2.0 * np.pi)
-    other = ~np.eye(count, dtype=bool)
-    roots[~((q_disc >= 0.0) & other)] = np.nan
-    roots = np.sort(roots.reshape(count, 2 * count), axis=1)  # NaN last
-
-    # the intervals between consecutive roots, each around the curve
-    # (sigma up to start + 2 pi); a curve with no root is one interval
-    ends = np.sum(~np.isnan(roots), axis=1)[:, None]
-    idx = np.arange(2 * count)[None, :]
-    wrap = idx + 1 >= ends
-    start = np.where(ends > 0, roots, -np.pi)
-    stop = np.take_along_axis(roots, np.where(wrap, 0, idx + 1), axis=1)
-    stop = np.where(ends > 0, stop + np.where(wrap, 2.0 * np.pi, 0.0), np.pi)
-    mid = 0.5 * (start + stop)
-    s, c = np.sin(0.5 * mid)[:, :, None], np.cos(0.5 * mid)[:, :, None]
-    value = qa[:, None, :] * s * s + qb[:, None, :] * s * c + qc[:, None, :] * c * c
-    arc = (idx < np.maximum(ends, 1)) & np.all((value > 0.0) | ~other[:, None, :], axis=2)
-    ks, slot = np.nonzero(arc)
-    start, stop = start[ks, slot], stop[ks, slot]
-
-    if (line[ks] & (stop >= np.pi)).any() or not ((alpha < 0.0).any() or line.any()):
-        raise ValueError("the region is unbounded")
-    if not len(ks):
-        return 0, 0, None
-
-    def point(sigma):
-        s, c = np.sin(0.5 * sigma), np.cos(0.5 * sigma)
-        return w0[ks] + d[ks] * s / (c - 0.5j * kappa[ks] * s)
-
-    # the turning angle theta = 2 atan(kappa t / 2) along each arc
-    def theta(sigma):
-        return 2.0 * np.arctan2(0.5 * kappa[ks] * np.sin(0.5 * sigma), np.cos(0.5 * sigma))
-
-    wrapped = stop > np.pi
-    turn = np.sign(kappa[ks]) * 2.0 * np.pi
-    theta_a = theta(start)
-    phi = theta(np.where(wrapped, stop - 2.0 * np.pi, stop)) - theta_a + np.where(wrapped, turn, 0.0)
-    small = np.abs(phi) < 1e-2
-    excess = np.where(small, phi ** 3 / 6.0 * (1.0 - phi * phi / 20.0 * (1.0 - phi * phi / 42.0)),
-                      phi - np.sin(phi))
-    safe = np.where(line[ks], 1.0, kappa[ks])
-    p_a, p_b = point(start), point(stop)
-
-    # the box: arc ends, and the points of each circle farthest along an
-    # axis that lie on its arc
-    radial = -n[ks] / safe  # w - centre at theta = 0, turning with theta
-    extreme = np.array([0.0, 0.5, 1.0, -0.5]) * np.pi
-    theta_e = extreme[None, :] - np.angle(radial)[:, None]
-    on_arc = np.mod((theta_e - theta_a[:, None]) * np.sign(safe)[:, None], 2.0 * np.pi) \
-        <= np.abs(phi)[:, None]
-    tips = (w0[ks] + n[ks] / safe)[:, None] + np.exp(1j * extreme)[None, :] / np.abs(safe)[:, None]
-    tips = tips[on_arc & ~line[ks][:, None]]
-    box = np.concatenate([p_a, p_b, tips])
-    bbox = ((float(box.real.min()), float(box.real.max())),
-            (float(box.imag.min()), float(box.imag.max())))
+    pi, sin, cos, atan2 = math.pi, math.sin, math.cos, math.atan2
+    firsts, lasts, segments, box = [], [], [], []
+    for w0, d, n, kappa, start, stop, _ in arcs:
+        s_a, c_a = sin(0.5 * start), cos(0.5 * start)
+        s_b, c_b = sin(0.5 * stop), cos(0.5 * stop)
+        p_a = w0 + d * s_a / (c_a - 0.5j * kappa * s_a)
+        p_b = w0 + d * s_b / (c_b - 0.5j * kappa * s_b)
+        firsts.append(p_a)
+        lasts.append(p_b)
+        box += (p_a, p_b)
+        if kappa == 0.0:
+            segments.append(0.0)
+            continue
+        # the turning angle theta = 2 atan(kappa t / 2) along the arc
+        theta_a = 2.0 * atan2(0.5 * kappa * s_a, c_a)
+        if stop > pi:
+            half = 0.5 * (stop - _TAU)
+            phi = 2.0 * atan2(0.5 * kappa * sin(half), cos(half)) - theta_a \
+                + math.copysign(_TAU, kappa)
+        else:
+            phi = 2.0 * atan2(0.5 * kappa * s_b, c_b) - theta_a
+        if abs(phi) < 1e-2:
+            excess = phi ** 3 / 6.0 * (1.0 - phi * phi / 20.0 * (1.0 - phi * phi / 42.0))
+        else:
+            excess = phi - sin(phi)
+        segments.append(_div(excess, 2.0 * kappa * kappa))
+        # the box takes the circle's points farthest along an axis that lie
+        # on the arc
+        radial = -n / kappa  # w - centre at theta = 0, turning with theta
+        angle = atan2(radial.imag, radial.real)
+        turn = 1.0 if kappa > 0.0 else -1.0
+        centre, radius = w0 + n / kappa, abs(kappa)
+        for extreme, tip in zip(_EXTREME, _TIPS):
+            if ((extreme - angle - theta_a) * turn) % _TAU <= abs(phi):
+                box.append(centre + tip / radius)
+    re = [p.real for p in box]
+    im = [p.imag for p in box]
+    bbox = ((min(re), max(re)), (min(im), max(im)))
 
     # the boundary cycles: an arc runs on to every arc that starts within
     # tol of its end, and to the one that starts nearest its end (itself
-    # only when it is a whole curve); each cycle is labelled by its lowest
-    # arc
-    tol = _NOISE * np.abs(bbox).max()
-    gap = np.abs(p_b[:, None] - p_a[None, :])
-    np.fill_diagonal(gap, np.where(ends[ks, 0] == 0, 0.0, np.inf))
-    joined = gap <= tol
-    joined[np.arange(len(ks)), np.argmin(gap, axis=1)] = True
-    cycle = component_labels(len(ks), *np.nonzero(joined))
+    # only when it is a whole curve); a union-find keeps each cycle's
+    # least arc as its label
+    tol = _NOISE * max(abs(bbox[0][0]), abs(bbox[0][1]), abs(bbox[1][0]), abs(bbox[1][1]))
+    label = list(range(len(arcs)))
+    for i, (p_b, arc) in enumerate(zip(lasts, arcs)):
+        gaps = [abs(p_b - p_a) for p_a in firsts]
+        gaps[i] = 0.0 if arc.whole else math.inf
+        nearest = gaps.index(min(gaps))
+        for j, gap in enumerate(gaps):
+            if gap <= tol or j == nearest:
+                root_i, root_j = i, j
+                while label[root_i] != root_i:
+                    root_i = label[root_i]
+                while label[root_j] != root_j:
+                    root_j = label[root_j]
+                if root_i < root_j:
+                    label[root_j] = root_i
+                else:
+                    label[root_i] = root_j
     # each cycle's area from chords about its own first vertex, so that the
     # rounding gaps where its arcs meet move a cycle within tol of a point
     # by about tol^2 at most; a cycle that small bounds nothing
-    ref = p_a[cycle]
-    area = 0.5 * ((p_a - ref).conj() * (p_b - ref)).imag \
-        + np.where(line[ks], 0.0, excess / (2.0 * safe * safe))
-    area = np.bincount(cycle, weights=area)
-    return int((area > tol * tol).sum()), int((area < -tol * tol).sum()), bbox
+    areas = {}
+    for i, (p_a, p_b, segment) in enumerate(zip(firsts, lasts, segments)):
+        cycle = i
+        while label[cycle] != cycle:
+            cycle = label[cycle]
+        ref = firsts[cycle]
+        area = 0.5 * ((p_a - ref).conjugate() * (p_b - ref)).imag + segment
+        areas[cycle] = areas.get(cycle, 0.0) + area
+    floor = tol * tol
+    return (sum(area > floor for area in areas.values()),
+            sum(area < -floor for area in areas.values()), bbox)
 
 
 def component_labels(count, first, second):

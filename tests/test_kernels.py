@@ -512,3 +512,302 @@ def test_component_labels_are_least_nodes(graph):
     count, first, second = graph
     labels = _kernels.component_labels(count, first, second)
     np.testing.assert_array_equal(labels, _reference_least_labels(count, first, second))
+
+
+# ----------------------------------------------------------------------
+# slice topology: the float body against the NumPy body it replaced, kept
+# verbatim as the reference
+
+
+def _reference_slice_topology(alpha, beta, gamma):
+    """The NumPy body of `_kernels.slice_topology`, from before it ran on
+    Python floats; the module's tolerances and labelling."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=np.complex128))
+    forms = np.unique(np.column_stack(np.broadcast_arrays(
+        alpha, beta.real, beta.imag, gamma)).astype(np.float64), axis=0)
+    alpha, beta, gamma = forms[:, 0], forms[:, 1] + 1j * forms[:, 2], forms[:, 3]
+    size = np.abs(beta)
+    disc = size * size - 4.0 * alpha * gamma
+    curve = disc > _kernels._POINT * (size * size + 4.0 * np.abs(alpha * gamma))
+    if not np.all(np.where(alpha != 0.0, alpha, gamma)[~curve] > 0.0):
+        return 0, 0, None
+    alpha, beta, gamma, size, root = (alpha[curve], beta[curve], gamma[curve], size[curve],
+                                      np.sqrt(disc[curve]))
+    count = len(alpha)
+
+    n = np.where(size > 0.0, np.conj(beta) / np.where(size > 0.0, size, 1.0), 1.0)
+    w0 = -2.0 * gamma / (size + root) * n
+    d = -1j * n
+    kappa = -2.0 * alpha / root
+    line = kappa == 0.0
+
+    # the quadratic of form j on curve k, A t^2 + B t + C, at [k, j]
+    e = d - 0.5j * kappa * w0
+    kap = kappa[:, None]
+    beta_w0 = (beta[None, :] * w0[:, None]).real
+    beta_d = beta[None, :] * d[:, None]
+    qa = 0.25 * kap * kap * (gamma + beta_w0) - 0.5 * kap * beta_d.imag \
+        + alpha * (e * e.conj()).real[:, None]
+    qb = beta_d.real + 2.0 * alpha * (w0.conj() * e).real[:, None]
+    qc = gamma + beta_w0 + alpha * (w0 * w0.conj()).real[:, None]
+    # stable roots as sigma = 2 atan2 of homogeneous pairs (q : A), (C : q)
+    q_disc = qb * qb - 4.0 * qa * qc
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(q_disc, 0.0)), qb))
+    second = 2.0 * np.arctan2(qc, q)
+    first = np.where((q == 0.0) & (qa == 0.0), second, 2.0 * np.arctan2(q, qa))
+    roots = np.pi - np.mod(np.pi - np.stack([first, second], axis=2), 2.0 * np.pi)
+    other = ~np.eye(count, dtype=bool)
+    roots[~((q_disc >= 0.0) & other)] = np.nan
+    roots = np.sort(roots.reshape(count, 2 * count), axis=1)  # NaN last
+
+    # the intervals between consecutive roots, each around the curve
+    # (sigma up to start + 2 pi); a curve with no root is one interval
+    ends = np.sum(~np.isnan(roots), axis=1)[:, None]
+    idx = np.arange(2 * count)[None, :]
+    wrap = idx + 1 >= ends
+    start = np.where(ends > 0, roots, -np.pi)
+    stop = np.take_along_axis(roots, np.where(wrap, 0, idx + 1), axis=1)
+    stop = np.where(ends > 0, stop + np.where(wrap, 2.0 * np.pi, 0.0), np.pi)
+    mid = 0.5 * (start + stop)
+    s, c = np.sin(0.5 * mid)[:, :, None], np.cos(0.5 * mid)[:, :, None]
+    value = qa[:, None, :] * s * s + qb[:, None, :] * s * c + qc[:, None, :] * c * c
+    arc = (idx < np.maximum(ends, 1)) & np.all((value > 0.0) | ~other[:, None, :], axis=2)
+    ks, slot = np.nonzero(arc)
+    start, stop = start[ks, slot], stop[ks, slot]
+
+    if (line[ks] & (stop >= np.pi)).any() or not ((alpha < 0.0).any() or line.any()):
+        raise ValueError("the region is unbounded")
+    if not len(ks):
+        return 0, 0, None
+
+    def point(sigma):
+        s, c = np.sin(0.5 * sigma), np.cos(0.5 * sigma)
+        return w0[ks] + d[ks] * s / (c - 0.5j * kappa[ks] * s)
+
+    # the turning angle theta = 2 atan(kappa t / 2) along each arc
+    def theta(sigma):
+        return 2.0 * np.arctan2(0.5 * kappa[ks] * np.sin(0.5 * sigma), np.cos(0.5 * sigma))
+
+    wrapped = stop > np.pi
+    turn = np.sign(kappa[ks]) * 2.0 * np.pi
+    theta_a = theta(start)
+    phi = theta(np.where(wrapped, stop - 2.0 * np.pi, stop)) - theta_a + np.where(wrapped, turn, 0.0)
+    small = np.abs(phi) < 1e-2
+    excess = np.where(small, phi ** 3 / 6.0 * (1.0 - phi * phi / 20.0 * (1.0 - phi * phi / 42.0)),
+                      phi - np.sin(phi))
+    safe = np.where(line[ks], 1.0, kappa[ks])
+    p_a, p_b = point(start), point(stop)
+
+    # the box: arc ends, and the points of each circle farthest along an
+    # axis that lie on its arc
+    radial = -n[ks] / safe  # w - centre at theta = 0, turning with theta
+    extreme = np.array([0.0, 0.5, 1.0, -0.5]) * np.pi
+    theta_e = extreme[None, :] - np.angle(radial)[:, None]
+    on_arc = np.mod((theta_e - theta_a[:, None]) * np.sign(safe)[:, None], 2.0 * np.pi) \
+        <= np.abs(phi)[:, None]
+    tips = (w0[ks] + n[ks] / safe)[:, None] + np.exp(1j * extreme)[None, :] / np.abs(safe)[:, None]
+    tips = tips[on_arc & ~line[ks][:, None]]
+    box = np.concatenate([p_a, p_b, tips])
+    bbox = ((float(box.real.min()), float(box.real.max())),
+            (float(box.imag.min()), float(box.imag.max())))
+
+    # the boundary cycles: an arc runs on to every arc that starts within
+    # tol of its end, and to the one that starts nearest its end (itself
+    # only when it is a whole curve); each cycle is labelled by its lowest
+    # arc
+    tol = _kernels._NOISE * np.abs(bbox).max()
+    gap = np.abs(p_b[:, None] - p_a[None, :])
+    np.fill_diagonal(gap, np.where(ends[ks, 0] == 0, 0.0, np.inf))
+    joined = gap <= tol
+    joined[np.arange(len(ks)), np.argmin(gap, axis=1)] = True
+    cycle = _kernels.component_labels(len(ks), *np.nonzero(joined))
+    # each cycle's area from chords about its own first vertex, so that the
+    # rounding gaps where its arcs meet move a cycle within tol of a point
+    # by about tol^2 at most; a cycle that small bounds nothing
+    ref = p_a[cycle]
+    area = 0.5 * ((p_a - ref).conj() * (p_b - ref)).imag \
+        + np.where(line[ks], 0.0, excess / (2.0 * safe * safe))
+    area = np.bincount(cycle, weights=area)
+    return int((area > tol * tol).sum()), int((area < -tol * tol).sum()), bbox
+
+
+def _topology_outcome(func, forms):
+    """``func(*forms)``, or the message of the ValueError it raised."""
+    try:
+        with np.errstate(all="ignore"):  # the reference on NaN and infinite forms
+            return func(*forms)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_same_topology(forms, box_tol=1e-12):
+    """The counts, or the error, are the reference's, and so is the box of
+    a region with a component, to within ``box_tol`` of its largest
+    coordinate.
+
+    A region with no component has no box, or only the box of cycles of
+    rounding noise, such as the lens that rounding cuts where two circles
+    touch; whether that lens appears depends on the last bits of the roots,
+    so its box is not compared."""
+    got = _topology_outcome(_kernels.slice_topology, forms)
+    want = _topology_outcome(_reference_slice_topology, forms)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return want
+    assert got[:2] == want[:2], (got, want)
+    if want[0]:
+        scale = np.abs(want[2]).max()
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=box_tol * scale)
+    return want
+
+
+def _disk_form(centre, radius):
+    """``radius^2 - |w - centre|^2``, > 0 inside the disk, as ``(alpha,
+    Re beta, Im beta, gamma)``."""
+    return -1.0, 2.0 * centre.real, -2.0 * centre.imag, radius * radius - abs(centre) ** 2
+
+
+def _half_plane_form(normal, offset):
+    """``Re(conj(normal) w) + offset``, as ``(alpha, Re beta, Im beta, gamma)``."""
+    return 0.0, normal.real, -normal.imag, offset
+
+
+# how far a touching circle is moved off tangency, relative to its distance.
+# At 1e-12 the sign of each discriminant where the circles nearly touch is
+# still far above rounding, so every evaluation finds the same roots.  The
+# circles cross at an angle of about the square root of the offset, and a
+# crossing moves by the rounding of the forms over that angle, so a box
+# cornered there is compared to within 1e-12 over that root.  An overlap
+# near 1e-9 is left out: it cuts a lens whose area is about the noise floor
+# (`_kernels._NOISE` of the extent, squared), so whether it counts is not
+# defined to the last bits of the roots
+_OFF_TANGENCY = (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3)
+_SIGN = st.sampled_from((1.0, -1.0))
+# forms whose zero set is empty or the whole plane
+_FLAT = ((1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 0.0),
+         (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, -1.0))
+
+
+def _circle_form(centre, radius, sign):
+    """A disk (sign 1) or its complement (sign -1)."""
+    return tuple(sign * v for v in _disk_form(centre, radius))
+
+
+@st.composite
+def _slice_forms(draw):
+    """1 to 16 forms ``(alpha, beta, gamma)``: the pair forms of a random
+    complex family (m = 1..6), or disks, disk complements and half-planes,
+    often inside a bounding disk; then, now and then, a circle that touches
+    or nearly touches one of them, repeated forms, a form whose zero set is
+    a point or empty, and a NaN or infinite coefficient; all forms scaled
+    by 1, 2^-330 or 2^330.  Returns the forms and the tolerance of their
+    box (`_assert_same_topology`).
+
+    Hypothesis draws the structure, and a seeded generator the coordinates,
+    so that no two curves nearly coincide by accident: the zero curves of
+    two forms that are not multiples of each other but nearly coincide cut
+    each other where rounding puts it, in any evaluation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def centre():
+        return complex(*rng.uniform(-2.0, 2.0, 2))
+
+    def unit():
+        return complex(np.exp(1j * rng.uniform(-np.pi, np.pi)))
+
+    forms, circles, box_tol = [], [], 1e-12
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        fam_a, fam_b = (rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(2))
+        alpha, beta, gamma = (np.atleast_1d(part) for part in _kernels.pairwise_forms(fam_a, fam_b))
+        forms += zip(alpha.tolist(), beta.real.tolist(), beta.imag.tolist(), gamma.tolist())
+        event(f"pair forms, m = {m}")
+    else:
+        if draw(st.booleans()):
+            circles.append((centre(), rng.uniform(4.0, 7.0), 1.0))
+        for _ in range(draw(st.integers(0, 5))):
+            if draw(st.booleans()):
+                circles.append((centre(), rng.uniform(0.05, 3.0), draw(_SIGN)))
+            else:
+                forms.append(_half_plane_form(unit(), rng.uniform(-2.0, 2.0)))
+    if draw(st.booleans()):
+        off = draw(st.sampled_from(_OFF_TANGENCY))
+        inside = draw(st.booleans())
+        if off == 0.0:
+            # an exact tangency: centres on the real axis at quarters and
+            # radii that are powers of two, so that every step that finds
+            # the touching point is exact and the double root is found
+            radius, other = sorted(2.0 ** draw(st.integers(-2, 1)) for _ in range(2))[::-1]
+            inside = inside and other < radius
+            centre_0 = complex(draw(st.integers(-8, 8)) / 4.0)
+            direction = draw(_SIGN)
+            circles.append((centre_0, radius, draw(_SIGN)))
+        else:
+            # a circle nearly touching a drawn one, or a new one, from
+            # inside or from outside
+            centre_0, radius, _ = (draw(st.sampled_from(circles)) if circles
+                                   else (centre(), rng.uniform(0.5, 3.0), 1.0))
+            other = rng.uniform(0.05, 0.8) * radius if inside else rng.uniform(0.05, 3.0)
+            direction = unit()
+            box_tol = 1e-12 / np.sqrt(abs(off))
+        distance = (radius - other if inside else radius + other) * (1.0 + off)
+        circles.append((centre_0 + distance * direction, other, draw(_SIGN)))
+        event("touching circles" if off == 0.0 else "nearly touching circles")
+    forms += (_circle_form(*circle) for circle in circles)
+    if forms and draw(st.booleans()):
+        forms += draw(st.lists(st.sampled_from(forms), min_size=1, max_size=3))
+        event("repeated forms")
+    if draw(st.integers(0, 3)) == 0:
+        point = _circle_form(centre(), 0.0, draw(_SIGN))  # +-|w - c|^2
+        forms.append(draw(st.sampled_from((point,) + _FLAT)))
+        event("form without a curve")
+    if not forms:
+        forms.append(_circle_form(centre(), rng.uniform(0.05, 3.0), 1.0))
+    scale = draw(st.sampled_from((1.0, 2.0 ** -330, 2.0 ** 330)))  # exact
+    forms = [tuple(scale * v for v in form) for form in forms[:16]]
+    if draw(st.integers(0, 5)) == 0:
+        index, part = draw(st.integers(0, len(forms) - 1)), draw(st.integers(0, 3))
+        value = list(forms[index])
+        value[part] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        forms[index] = tuple(value)
+        event("non-finite coefficient")
+    alpha, b_re, b_im, gamma = (np.array(part) for part in zip(*forms))
+    return (alpha, b_re + 1j * b_im, gamma), box_tol
+
+
+@settings(max_examples=250, deadline=None)
+@given(_slice_forms())
+def test_slice_topology_matches_the_numpy_reference(case):
+    want = _assert_same_topology(*case)
+    event("error" if isinstance(want, str) else "empty" if want[2] is None
+          else f"{want[0]} components, {want[1]} holes")
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["cube3", "simplex4"])
+def test_slice_topology_matches_the_numpy_reference_on_verifier_lines(name):
+    domain = (load_domain(_CUBE3.parent / f"{name}.dom").domain
+              if name in ("cube3", "simplex4") else catalog.by_name(name))
+    tube = Tube(domain)
+    rng = np.random.default_rng(np.random.SeedSequence([25]))
+    centre = domain.sample_interior(rng, 1)[0]
+    for k in range(20):
+        # every fifth line runs through a small puncture at an inner point
+        puncture = (centre, 0.05) if k % 5 == 0 else None
+        anchor, direction, _ = _random_line(tube, rng, through=None if puncture is None
+                                            else centre)
+        _assert_same_topology(_line_forms(tube, anchor, direction, puncture))
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_pairwise_forms_are_those_of_fresh_pair_indices(m):
+    rng = np.random.default_rng(m)
+    fam_a, fam_b = (rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(2))
+    p, q = np.triu_indices(m, k=1 if m > 1 else 0)
+    want = ((fam_b[q] * np.conj(fam_b[p])).real,
+            fam_b[q] * np.conj(fam_a[p]) + np.conj(fam_a[q]) * fam_b[p],
+            (fam_a[q] * np.conj(fam_a[p])).real)
+    for _ in range(2):  # the second call reads the memoised pairs
+        got = _kernels.pairwise_forms(fam_a, fam_b)
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+    with pytest.raises(ValueError, match="read-only"):
+        _kernels._pair_indices(m)[0][...] = 0
