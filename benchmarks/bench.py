@@ -60,8 +60,7 @@ COLD_RUNS = 7
 COLD_COMMANDS = [["check", "--domain", name, "--suite", "all"]
                  for name in ("interval", "halfline", "disk", "ellipse", "square", "triangle",
                               "simplex")] + [["map", "--domain", "interval", "0.5i"]]
-KERNELS = (os.path.join("benchmarks", "bench_kernels.py"), "--resolutions", "512,1024",
-           "--lines", "20")
+KERNELS = os.path.join("benchmarks", "bench_kernels.py")
 POINTS = os.path.join("benchmarks", "bench_points.py")
 
 
@@ -231,7 +230,8 @@ def main(argv=None):
         "criterion_walls_s": criterion_walls(roots),
         "cold_start_s": cold_walls(roots),
         "kernel_tables": script_tables(
-            roots, [sys.executable, os.path.join(roots["change"], KERNELS[0]), *KERNELS[1:]]),
+            roots, [sys.executable, os.path.join(roots["change"], KERNELS),
+                    "--resolutions", "512,1024", "--lines", "20"]),
         "point_tables": script_tables(
             roots, [sys.executable, os.path.join(roots["change"], POINTS)]),
     }

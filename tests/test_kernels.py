@@ -771,8 +771,9 @@ def _slice_forms(draw):
         value[part] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
         forms[index] = tuple(value)
         event("non-finite coefficient")
-    alpha, b_re, b_im, gamma = (np.array(part) for part in zip(*forms))
-    return (alpha, b_re + 1j * b_im, gamma), box_tol
+    alpha, b_re, b_im, gamma = zip(*forms)
+    beta = np.array([complex(re, im) for re, im in zip(b_re, b_im)])
+    return (np.array(alpha), beta, np.array(gamma)), box_tol
 
 
 @settings(max_examples=250, deadline=None)
